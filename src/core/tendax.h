@@ -124,9 +124,14 @@ class TendaxServer {
   /// Fuzzy checkpoint: runs concurrently with active editor sessions.
   Status CheckpointNow() { return db_->CheckpointNow(); }
 
-  /// Full structural integrity sweep of the underlying database (pages,
-  /// tables, indexes). See `Database::CheckIntegrity`.
-  Status CheckIntegrity() const { return db_->CheckIntegrity(); }
+  /// Full structural integrity sweep: the underlying database (pages,
+  /// tables, indexes; see `Database::CheckIntegrity`), then every open
+  /// document's in-memory chain against its records (see
+  /// `TextStore::CheckIntegrity`).
+  Status CheckIntegrity() const {
+    TENDAX_RETURN_IF_ERROR(db_->CheckIntegrity());
+    return text_->CheckIntegrity();
+  }
 
  private:
   TendaxServer() = default;

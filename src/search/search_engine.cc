@@ -22,18 +22,31 @@ const char* RankingName(Ranking ranking) {
   return "?";
 }
 
-std::vector<std::string> Tokenize(const std::string& text) {
-  std::vector<std::string> out;
+namespace {
+
+/// Calls fn(token) for every maximal run of ASCII letters and digits in
+/// `text`, lowercased: the C locale's isalnum/tolower, without a library
+/// call per byte (indexing a long document tokenizes every byte).
+template <typename Fn>
+void ForEachToken(const std::string& text, const Fn& fn) {
   std::string current;
   for (unsigned char c : text) {
-    if (std::isalnum(c)) {
-      current.push_back(static_cast<char>(std::tolower(c)));
+    if (c >= 'A' && c <= 'Z') c |= 0x20;
+    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) {
+      current.push_back(static_cast<char>(c));
     } else if (!current.empty()) {
-      out.push_back(std::move(current));
+      fn(current);
       current.clear();
     }
   }
-  if (!current.empty()) out.push_back(std::move(current));
+  if (!current.empty()) fn(current);
+}
+
+}  // namespace
+
+std::vector<std::string> Tokenize(const std::string& text) {
+  std::vector<std::string> out;
+  ForEachToken(text, [&](const std::string& token) { out.push_back(token); });
   return out;
 }
 
@@ -106,27 +119,40 @@ Status SearchEngine::IndexDocument(DocumentId doc) {
     }
   }
 
-  std::vector<std::string> tokens = Tokenize(content + " " + name);
+  // Postings are built outside the lock; the shared index then changes
+  // only where a term appeared in or vanished from the document, so a
+  // reindex costs one map lookup per token plus one update per changed
+  // term, not one per token.
+  DocPostings postings;
+  auto add = [&postings](const std::string& token) {
+    auto at = postings.positions.find(token);
+    if (at == postings.positions.end()) {
+      at = postings.positions.emplace(token, std::vector<size_t>()).first;
+    }
+    at->second.push_back(postings.term_count++);
+  };
+  ForEachToken(content, add);
+  ForEachToken(name, add);
 
   MutexLock lock(mu_);
-  // Drop old postings.
-  auto old = doc_postings_.find(doc.value);
-  if (old != doc_postings_.end()) {
-    for (const auto& [term, positions] : old->second.positions) {
-      auto td = term_docs_.find(term);
-      if (td != term_docs_.end()) {
-        td->second.erase(doc.value);
-        if (td->second.empty()) term_docs_.erase(td);
-      }
+  auto it = indexed_version_.find(doc.value);
+  if (it != indexed_version_.end() && it->second >= version) {
+    dirty_docs_.erase(doc.value);
+    return Status::OK();  // a concurrent reindex installed a newer version
+  }
+  DocPostings& old = doc_postings_[doc.value];
+  for (const auto& [term, positions] : old.positions) {
+    if (postings.positions.count(term) != 0) continue;
+    auto td = term_docs_.find(term);
+    if (td != term_docs_.end()) {
+      td->second.erase(doc.value);
+      if (td->second.empty()) term_docs_.erase(td);
     }
   }
-  DocPostings postings;
-  postings.term_count = tokens.size();
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    postings.positions[tokens[i]].push_back(i);
-    term_docs_[tokens[i]].insert(doc.value);
+  for (const auto& [term, positions] : postings.positions) {
+    if (old.positions.count(term) == 0) term_docs_[term].insert(doc.value);
   }
-  doc_postings_[doc.value] = std::move(postings);
+  std::swap(old, postings);  // the old postings are freed after unlocking
   indexed_version_[doc.value] = version;
   dirty_docs_.erase(doc.value);
   return Status::OK();
@@ -248,11 +274,14 @@ Status SearchEngine::ApplyFilter(const SearchFilter& filter,
 std::string SearchEngine::Snippet(DocumentId doc, const std::string& term) {
   auto content = text_->Text(doc);
   if (!content.ok()) return "";
-  std::string lowered = *content;
-  std::transform(lowered.begin(), lowered.end(), lowered.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  size_t at = lowered.find(term);
-  if (at == std::string::npos) return content->substr(0, 40);
+  // `term` is a lowercase token: compare against the text lowercased on
+  // the fly, so the scan stops at the first hit and copies nothing.
+  auto hit = std::search(content->begin(), content->end(), term.begin(),
+                         term.end(), [](unsigned char c, char t) {
+                           return std::tolower(c) == t;
+                         });
+  if (hit == content->end()) return content->substr(0, 40);
+  size_t at = static_cast<size_t>(hit - content->begin());
   size_t start = at > 20 ? at - 20 : 0;
   std::string snip = content->substr(start, 60);
   for (char& c : snip) {

@@ -2,22 +2,208 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 #include "text/utf8.h"
 
 namespace tendax {
 
+namespace {
+
+/// Recomputes `ref`'s counts and max id from its node's contents.
+void Summarize(ChainRef& ref) {
+  const ChainNode& n = *ref.node;
+  ref.live = ref.chain = 0;
+  ref.max_id = 0;
+  if (n.leaf()) {
+    ref.chain = n.chars.size();
+    for (const SnapChar& c : n.chars) {
+      if (c.deleted == 0) ++ref.live;
+      ref.max_id = std::max(ref.max_id, c.id);
+    }
+    return;
+  }
+  for (const ChainRef& k : n.kids) {
+    ref.live += k.live;
+    ref.chain += k.chain;
+    ref.max_id = std::max(ref.max_id, k.max_id);
+  }
+}
+
+/// Starts loading the chars of kids[i + 1] (and the node of kids[i + 2])
+/// while kids[i] is scanned. Once edits have scattered the leaves over the
+/// heap, a walk is bound by memory latency at every leaf boundary, not by
+/// bandwidth.
+void PrefetchNext(const std::vector<ChainRef>& kids, size_t i) {
+  if (i + 2 < kids.size()) __builtin_prefetch(kids[i + 2].node.get());
+  if (i + 1 >= kids.size()) return;
+  const ChainNode& next = *kids[i + 1].node;
+  const char* p = reinterpret_cast<const char*>(next.chars.data());
+  const char* end = p + next.chars.size() * sizeof(SnapChar);
+  for (; p < end; p += 64) __builtin_prefetch(p);
+}
+
+/// Calls fn(c) for every char under `n`, in chain order.
+template <typename Fn>
+void ForEachChar(const ChainNode* n, const Fn& fn) {
+  if (n == nullptr) return;
+  if (n->leaf()) {
+    for (const SnapChar& c : n->chars) fn(c);
+    return;
+  }
+  for (size_t i = 0; i < n->kids.size(); ++i) {
+    PrefetchNext(n->kids, i);
+    ForEachChar(n->kids[i].node.get(), fn);
+  }
+}
+
+/// Calls fn(c) for the live chars under `n` after skipping `*skip` of
+/// them, until `*remaining` reaches zero; skips whole subtrees by count.
+template <typename Fn>
+void ForLiveRange(const ChainNode* n, size_t* skip, size_t* remaining,
+                  const Fn& fn) {
+  if (n == nullptr) return;
+  if (n->leaf()) {
+    for (const SnapChar& c : n->chars) {
+      if (*remaining == 0) return;
+      if (c.deleted != 0) continue;
+      if (*skip > 0) {
+        --*skip;
+        continue;
+      }
+      fn(c);
+      --*remaining;
+    }
+    return;
+  }
+  for (size_t i = 0; i < n->kids.size(); ++i) {
+    if (*remaining == 0) return;
+    if (*skip >= n->kids[i].live) {
+      *skip -= n->kids[i].live;
+      continue;
+    }
+    if (*remaining > n->kids[i].live - *skip) PrefetchNext(n->kids, i);
+    ForLiveRange(n->kids[i].node.get(), skip, remaining, fn);
+  }
+}
+
+Status CheckSubtree(const ChainRef& ref, size_t depth, bool is_root,
+                    size_t* leaf_depth) {
+  if (ref.node == nullptr) return Status::Corruption("chain tree: null child");
+  const ChainNode& n = *ref.node;
+  const size_t fill = n.leaf() ? n.chars.size() : n.kids.size();
+  const size_t lo = n.leaf() ? (is_root ? 1 : CharTree::kLeafTarget / 2)
+                             : (is_root ? 2 : CharTree::kMaxKids / 2);
+  const size_t hi = n.leaf() ? CharTree::kLeafMax : CharTree::kMaxKids;
+  const std::string at = " at depth " + std::to_string(depth);
+  if (fill < lo || fill > hi) {
+    return Status::Corruption("chain tree: node" + at + " holds " +
+                              std::to_string(fill) + " entries");
+  }
+  if (n.leaf()) {
+    if (*leaf_depth == 0) *leaf_depth = depth;
+    if (*leaf_depth != depth) {
+      return Status::Corruption("chain tree: leaves at two depths");
+    }
+  } else {
+    for (const ChainRef& k : n.kids) {
+      TENDAX_RETURN_IF_ERROR(CheckSubtree(k, depth + 1, false, leaf_depth));
+    }
+  }
+  ChainRef actual{ref.node};
+  Summarize(actual);
+  if (actual.live != ref.live || actual.chain != ref.chain ||
+      actual.max_id != ref.max_id) {
+    return Status::Corruption("chain tree: subtree counts" + at +
+                              " disagree with its contents");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// CharTree
+
+size_t CharTree::height() const {
+  size_t h = 0;
+  for (const ChainNode* n = root_.node.get(); n != nullptr;
+       n = n->leaf() ? nullptr : n->kids.front().node.get()) {
+    ++h;
+  }
+  return h;
+}
+
+const SnapChar& CharTree::LiveAt(size_t pos) const {
+  assert(pos < live_size());
+  static const SnapChar kNone{};  // unreachable while counts are consistent
+  const SnapChar* found = &kNone;
+  size_t one = 1;
+  ForLiveRange(root_.node.get(), &pos, &one,
+               [&](const SnapChar& c) { found = &c; });
+  return *found;
+}
+
+std::string CharTree::Text() const {
+  std::string out;
+  out.reserve(live_size());
+  ForEachChar(root_.node.get(), [&](const SnapChar& c) {
+    if (c.deleted == 0) AppendUtf8(&out, c.cp);
+  });
+  return out;
+}
+
+std::string CharTree::TextRange(size_t pos, size_t len) const {
+  assert(pos + len <= live_size());
+  std::string out;
+  out.reserve(len);
+  ForLiveRange(root_.node.get(), &pos, &len,
+               [&](const SnapChar& c) { AppendUtf8(&out, c.cp); });
+  return out;
+}
+
+std::vector<SnapChar> CharTree::LiveRange(size_t pos, size_t len) const {
+  assert(pos + len <= live_size());
+  std::vector<SnapChar> out;
+  out.reserve(len);
+  ForLiveRange(root_.node.get(), &pos, &len,
+               [&](const SnapChar& c) { out.push_back(c); });
+  return out;
+}
+
+std::string CharTree::TextAtVersion(Version version) const {
+  std::string out;
+  out.reserve(live_size());
+  ForEachChar(root_.node.get(), [&](const SnapChar& c) {
+    if (c.inserted <= version && (c.deleted == 0 || c.deleted > version)) {
+      AppendUtf8(&out, c.cp);
+    }
+  });
+  return out;
+}
+
+Status CheckChainTree(const ChainRef& root) {
+  if (root.node == nullptr) {
+    if (root.live != 0 || root.chain != 0) {
+      return Status::Corruption("chain tree: empty root records chars");
+    }
+    return Status::OK();
+  }
+  size_t leaf_depth = 0;
+  return CheckSubtree(root, 1, true, &leaf_depth);
+}
+
 // ---------------------------------------------------------------------------
 // CharListSnapshot
 
-CharListSnapshot::CharListSnapshot(
-    DocumentInfo info, Version purge_floor,
-    std::vector<std::shared_ptr<const SnapSegment>> segments,
-    std::shared_ptr<SnapshotTracker> tracker)
+CharListSnapshot::CharListSnapshot(DocumentInfo info, Version purge_floor,
+                                   CharTree tree,
+                                   std::shared_ptr<SnapshotTracker> tracker)
     : info_(std::move(info)),
       purge_floor_(purge_floor),
-      segments_(std::move(segments)),
+      tree_(std::move(tree)),
       tracker_(std::move(tracker)) {
+  assert(info_.length == tree_.live_size());
   if (tracker_) seq_ = tracker_->OnPublish();
 }
 
@@ -25,49 +211,11 @@ CharListSnapshot::~CharListSnapshot() {
   if (tracker_) tracker_->OnReclaim(seq_);
 }
 
-size_t CharListSnapshot::chain_size() const {
-  size_t n = 0;
-  for (const auto& seg : segments_) n += seg->chars.size();
-  return n;
-}
-
-std::string CharListSnapshot::Text() const {
-  std::string out;
-  out.reserve(info_.length);
-  for (const auto& seg : segments_) {
-    for (const SnapChar& c : seg->chars) {
-      if (c.deleted == 0) AppendUtf8(&out, c.cp);
-    }
-  }
-  return out;
-}
-
 Result<std::string> CharListSnapshot::TextRange(size_t pos, size_t len) const {
   if (pos + len > info_.length) {
     return Status::OutOfRange("text range beyond document length");
   }
-  std::string out;
-  out.reserve(len);
-  size_t skip = pos;
-  size_t remaining = len;
-  for (const auto& seg : segments_) {
-    if (remaining == 0) break;
-    if (skip >= seg->live) {
-      skip -= seg->live;
-      continue;
-    }
-    for (const SnapChar& c : seg->chars) {
-      if (c.deleted != 0) continue;
-      if (skip > 0) {
-        --skip;
-        continue;
-      }
-      if (remaining == 0) break;
-      AppendUtf8(&out, c.cp);
-      --remaining;
-    }
-  }
-  return out;
+  return tree_.TextRange(pos, len);
 }
 
 Result<std::string> CharListSnapshot::TextAtVersion(Version version) const {
@@ -78,34 +226,7 @@ Result<std::string> CharListSnapshot::TextAtVersion(Version version) const {
         " of document " + info_.id.ToString() +
         ": its tombstones were physically purged");
   }
-  std::string out;
-  for (const auto& seg : segments_) {
-    for (const SnapChar& c : seg->chars) {
-      if (c.inserted <= version && (c.deleted == 0 || c.deleted > version)) {
-        AppendUtf8(&out, c.cp);
-      }
-    }
-  }
-  return out;
-}
-
-Result<SnapChar> CharListSnapshot::LiveAt(size_t pos) const {
-  if (pos >= info_.length) {
-    return Status::OutOfRange("position beyond document length");
-  }
-  size_t skip = pos;
-  for (const auto& seg : segments_) {
-    if (skip >= seg->live) {
-      skip -= seg->live;
-      continue;
-    }
-    for (const SnapChar& c : seg->chars) {
-      if (c.deleted != 0) continue;
-      if (skip == 0) return c;
-      --skip;
-    }
-  }
-  return Status::Internal("snapshot live index out of sync");
+  return tree_.TextAtVersion(version);
 }
 
 Result<std::vector<SnapChar>> CharListSnapshot::LiveRange(size_t pos,
@@ -113,24 +234,7 @@ Result<std::vector<SnapChar>> CharListSnapshot::LiveRange(size_t pos,
   if (pos + len > info_.length) {
     return Status::OutOfRange("range beyond document length");
   }
-  std::vector<SnapChar> out;
-  out.reserve(len);
-  size_t skip = pos;
-  size_t remaining = len;
-  for (const auto& seg : segments_) {
-    if (remaining == 0) break;
-    for (const SnapChar& c : seg->chars) {
-      if (c.deleted != 0) continue;
-      if (skip > 0) {
-        --skip;
-        continue;
-      }
-      if (remaining == 0) break;
-      out.push_back(c);
-      --remaining;
-    }
-  }
-  return out;
+  return tree_.LiveRange(pos, len);
 }
 
 // ---------------------------------------------------------------------------
@@ -194,253 +298,200 @@ uint64_t SnapshotTracker::live() const {
 // ---------------------------------------------------------------------------
 // VersionedCharList
 
-size_t VersionedCharList::chain_size() const {
-  size_t n = 0;
-  for (const auto& seg : segs_) n += seg->chars.size();
-  return n;
-}
-
-const SnapChar& VersionedCharList::LiveAt(size_t pos) const {
-  assert(pos < live_);
-  size_t skip = pos;
-  for (const auto& seg : segs_) {
-    if (skip >= seg->live) {
-      skip -= seg->live;
-      continue;
-    }
-    for (const SnapChar& c : seg->chars) {
-      if (c.deleted != 0) continue;
-      if (skip == 0) return c;
-      --skip;
-    }
+ChainNode* VersionedCharList::Own(ChainRef& ref) {
+  if (ref.node->epoch != epoch_) {
+    auto copy = std::make_shared<ChainNode>(*ref.node);
+    copy->epoch = epoch_;
+    ref.node = std::move(copy);
   }
-  // Unreachable while live counts are consistent; keep the compiler happy.
-  static const SnapChar kNone{};
-  assert(false && "live index out of sync");
-  return kNone;
+  return ref.node.get();
 }
 
-void VersionedCharList::Clear() {
-  segs_.clear();
-  frozen_.clear();
-  live_ = 0;
+/// Packs `items` (chars for leaves, child slots for internal nodes) into
+/// ceil(size / target) nodes of even size: each holds at most `target` and,
+/// when there is more than one, more than target / 2.
+template <typename T>
+std::vector<ChainRef> VersionedCharList::Pack(std::vector<T> items,
+                                              size_t target) {
+  const size_t pieces = (items.size() + target - 1) / target;
+  std::vector<ChainRef> out;
+  out.reserve(pieces);
+  auto from = items.begin();
+  for (size_t p = 0; p < pieces; ++p) {
+    auto to = from + static_cast<std::ptrdiff_t>((items.end() - from) /
+                                                 (pieces - p));
+    ChainRef ref{std::make_shared<ChainNode>(epoch_)};
+    std::vector<T> part(std::make_move_iterator(from),
+                        std::make_move_iterator(to));
+    if constexpr (std::is_same_v<T, SnapChar>) {
+      ref.node->chars = std::move(part);
+    } else {
+      ref.node->kids = std::move(part);
+    }
+    Summarize(ref);
+    out.push_back(std::move(ref));
+    from = to;
+  }
+  return out;
 }
 
 void VersionedCharList::Rebuild(std::vector<SnapChar> chain) {
   Clear();
-  for (size_t off = 0; off < chain.size(); off += kSegTarget) {
-    size_t end = std::min(off + kSegTarget, chain.size());
-    auto seg = std::make_shared<SnapSegment>();
-    seg->chars.assign(std::make_move_iterator(chain.begin() + off),
-                      std::make_move_iterator(chain.begin() + end));
-    for (const SnapChar& c : seg->chars) {
-      if (c.deleted == 0) ++seg->live;
-    }
-    live_ += seg->live;
-    segs_.push_back(std::move(seg));
-    frozen_.push_back(0);
-  }
+  if (chain.empty()) return;
+  std::vector<ChainRef> level = Pack(std::move(chain), kLeafTarget);
+  while (level.size() > 1) level = Pack(std::move(level), kMaxKids);
+  root_ = std::move(level.front());
 }
 
-SnapSegment* VersionedCharList::Own(size_t idx) {
-  if (frozen_[idx]) {
-    segs_[idx] = std::make_shared<SnapSegment>(*segs_[idx]);
-    frozen_[idx] = 0;
+/// Re-summarizes the owned node under `ref`; if it is over capacity,
+/// `ref` keeps its first piece and the others go to `split`, in order.
+void VersionedCharList::SplitIfOversize(ChainRef& ref,
+                                        std::vector<ChainRef>* split) {
+  ChainNode* n = ref.node.get();
+  std::vector<ChainRef> pieces;
+  if (n->leaf() && n->chars.size() > kLeafMax) {
+    pieces = Pack(std::move(n->chars), kLeafTarget);
+  } else if (!n->leaf() && n->kids.size() > kMaxKids) {
+    pieces = Pack(std::move(n->kids), kMaxKids);
+  } else {
+    Summarize(ref);
+    return;
   }
-  return segs_[idx].get();
+  ref = std::move(pieces.front());
+  split->insert(split->end(), std::make_move_iterator(pieces.begin() + 1),
+                std::make_move_iterator(pieces.end()));
 }
 
-void VersionedCharList::SplitIfOversize(size_t idx) {
-  if (segs_[idx]->chars.size() <= 2 * kSegTarget) return;
-  SnapSegment* seg = Own(idx);
-  std::vector<SnapChar>& v = seg->chars;
-  std::vector<std::shared_ptr<SnapSegment>> pieces;
-  for (size_t off = 0; off < v.size(); off += kSegTarget) {
-    size_t end = std::min(off + kSegTarget, v.size());
-    auto piece = std::make_shared<SnapSegment>();
-    piece->chars.assign(std::make_move_iterator(v.begin() + off),
-                        std::make_move_iterator(v.begin() + end));
-    for (const SnapChar& c : piece->chars) {
-      if (c.deleted == 0) ++piece->live;
+void VersionedCharList::InsertIn(ChainRef& ref, size_t after,
+                                 const std::vector<SnapChar>& run,
+                                 std::vector<ChainRef>* split) {
+  ChainNode* n = Own(ref);
+  if (n->leaf()) {
+    size_t at = 0;
+    while (after > 0) {
+      if (n->chars[at++].deleted == 0) --after;
     }
-    pieces.push_back(std::move(piece));
-  }
-  segs_.erase(segs_.begin() + idx);
-  frozen_.erase(frozen_.begin() + idx);
-  segs_.insert(segs_.begin() + idx, pieces.begin(), pieces.end());
-  frozen_.insert(frozen_.begin() + idx, pieces.size(), 0);
-}
-
-void VersionedCharList::DropEmptySegments() {
-  for (size_t s = segs_.size(); s-- > 0;) {
-    if (segs_[s]->chars.empty()) {
-      segs_.erase(segs_.begin() + s);
-      frozen_.erase(frozen_.begin() + s);
+    n->chars.insert(n->chars.begin() + static_cast<std::ptrdiff_t>(at),
+                    run.begin(), run.end());
+  } else {
+    // The child holding the after-th live char (the first for after == 0).
+    size_t i = 0;
+    while (i + 1 < n->kids.size() && after > n->kids[i].live) {
+      after -= n->kids[i].live;
+      ++i;
     }
+    std::vector<ChainRef> pieces;
+    InsertIn(n->kids[i], after, run, &pieces);
+    n->kids.insert(n->kids.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                   std::make_move_iterator(pieces.begin()),
+                   std::make_move_iterator(pieces.end()));
   }
+  SplitIfOversize(ref, split);
 }
 
 void VersionedCharList::InsertRun(size_t live_pos,
                                   const std::vector<SnapChar>& run) {
-  assert(live_pos <= live_);
+  assert(live_pos <= live_size());
   if (run.empty()) return;
-  size_t run_live = 0;
-  for (const SnapChar& c : run) {
-    if (c.deleted == 0) ++run_live;
+  if (root_.node == nullptr) root_.node = std::make_shared<ChainNode>(epoch_);
+  std::vector<ChainRef> split;
+  InsertIn(root_, live_pos, run, &split);
+  // The root split: grow the tree by a level (or more, for a long run).
+  while (!split.empty()) {
+    split.insert(split.begin(), std::move(root_));
+    std::vector<ChainRef> level = Pack(std::move(split), kMaxKids);
+    root_ = std::move(level.front());
+    split.assign(std::make_move_iterator(level.begin() + 1),
+                 std::make_move_iterator(level.end()));
   }
+}
 
-  if (segs_.empty()) {
-    auto seg = std::make_shared<SnapSegment>();
-    seg->chars = run;
-    seg->live = run_live;
-    segs_.push_back(std::move(seg));
-    frozen_.push_back(0);
-    live_ += run_live;
-    SplitIfOversize(0);
-    return;
-  }
-
-  // Physical insertion point: directly after the live char at live_pos-1,
-  // or the physical head for live_pos == 0 — exactly where the record layer
-  // links the new characters.
-  size_t seg_idx = 0;
-  size_t char_idx = 0;
-  if (live_pos > 0) {
-    size_t skip = live_pos - 1;  // find the (live_pos-1)-th live char
-    bool found = false;
-    for (size_t s = 0; s < segs_.size() && !found; ++s) {
-      if (skip >= segs_[s]->live) {
-        skip -= segs_[s]->live;
+void VersionedCharList::TombstoneIn(ChainRef& ref, size_t* skip,
+                                    size_t* remaining, Version deleted) {
+  ChainNode* n = Own(ref);
+  if (n->leaf()) {
+    for (SnapChar& c : n->chars) {
+      if (*remaining == 0) break;
+      if (c.deleted != 0) continue;
+      if (*skip > 0) {
+        --*skip;
         continue;
       }
-      const auto& chars = segs_[s]->chars;
-      for (size_t i = 0; i < chars.size(); ++i) {
-        if (chars[i].deleted != 0) continue;
-        if (skip == 0) {
-          seg_idx = s;
-          char_idx = i + 1;
-          found = true;
-          break;
-        }
-        --skip;
-      }
+      c.deleted = deleted;
+      --*remaining;
     }
-    assert(found);
+  } else {
+    for (ChainRef& k : n->kids) {
+      if (*remaining == 0) break;
+      if (*skip >= k.live) {
+        *skip -= k.live;
+        continue;
+      }
+      TombstoneIn(k, skip, remaining, deleted);
+    }
   }
-
-  SnapSegment* seg = Own(seg_idx);
-  seg->chars.insert(seg->chars.begin() + char_idx, run.begin(), run.end());
-  seg->live += run_live;
-  live_ += run_live;
-  SplitIfOversize(seg_idx);
+  Summarize(ref);
 }
 
 void VersionedCharList::TombstoneRange(size_t live_pos, size_t len,
                                        Version deleted) {
-  assert(live_pos + len <= live_);
-  size_t skip = live_pos;
-  size_t remaining = len;
-  for (size_t s = 0; s < segs_.size() && remaining > 0; ++s) {
-    if (skip >= segs_[s]->live) {
-      skip -= segs_[s]->live;
-      continue;
-    }
-    SnapSegment* seg = Own(s);
-    for (SnapChar& c : seg->chars) {
-      if (c.deleted != 0) continue;
-      if (skip > 0) {
-        --skip;
-        continue;
-      }
-      if (remaining == 0) break;
-      c.deleted = deleted;
-      --seg->live;
-      --remaining;
-    }
-  }
-  assert(remaining == 0);
-  live_ -= len;
+  assert(live_pos + len <= live_size());
+  if (len == 0) return;
+  TombstoneIn(root_, &live_pos, &len, deleted);
+  assert(len == 0);
 }
 
-bool VersionedCharList::TombstoneById(uint64_t id, Version deleted) {
-  for (size_t s = 0; s < segs_.size(); ++s) {
-    const auto& chars = segs_[s]->chars;
-    for (size_t i = 0; i < chars.size(); ++i) {
-      if (chars[i].id == id && chars[i].deleted == 0) {
-        SnapSegment* seg = Own(s);
-        seg->chars[i].deleted = deleted;
-        --seg->live;
-        --live_;
-        return true;
+bool VersionedCharList::SetDeletedIn(ChainRef& ref,
+                                     const std::vector<uint64_t>& ids,
+                                     Version deleted, size_t* left) {
+  bool changed = false;
+  const ChainNode* n = ref.node.get();
+  if (n->leaf()) {
+    for (size_t i = 0; i < n->chars.size() && *left > 0; ++i) {
+      const SnapChar& c = n->chars[i];
+      if (c.id < ids.front() || c.id > ids.back() ||
+          (c.deleted == 0) == (deleted == 0) ||
+          !std::binary_search(ids.begin(), ids.end(), c.id)) {
+        continue;
       }
+      n = Own(ref);
+      ref.node->chars[i].deleted = deleted;
+      changed = true;
+      --*left;
+    }
+  } else {
+    for (size_t i = 0; i < n->kids.size() && *left > 0; ++i) {
+      if (n->kids[i].max_id < ids.front()) continue;
+      ChainRef kid = n->kids[i];
+      if (!SetDeletedIn(kid, ids, deleted, left)) continue;
+      n = Own(ref);
+      ref.node->kids[i] = std::move(kid);
+      changed = true;
     }
   }
-  return false;
+  if (changed) Summarize(ref);
+  return changed;
+}
+
+size_t VersionedCharList::SetDeleted(std::vector<uint64_t> ids,
+                                     Version deleted) {
+  if (root_.node == nullptr || ids.empty()) return 0;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  size_t left = ids.size();
+  if (root_.max_id >= ids.front()) SetDeletedIn(root_, ids, deleted, &left);
+  return ids.size() - left;
 }
 
 uint64_t VersionedCharList::PurgeBelow(Version before) {
-  uint64_t purged = 0;
-  for (size_t s = 0; s < segs_.size(); ++s) {
-    bool any = false;
-    for (const SnapChar& c : segs_[s]->chars) {
-      if (c.deleted != 0 && c.deleted <= before) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) continue;
-    SnapSegment* seg = Own(s);
-    size_t before_n = seg->chars.size();
-    std::erase_if(seg->chars, [&](const SnapChar& c) {
-      return c.deleted != 0 && c.deleted <= before;
-    });
-    purged += before_n - seg->chars.size();
-  }
-  DropEmptySegments();
+  std::vector<SnapChar> kept;
+  kept.reserve(chain_size());
+  ForEachChar(root_.node.get(), [&](const SnapChar& c) {
+    if (c.deleted == 0 || c.deleted > before) kept.push_back(c);
+  });
+  const uint64_t purged = chain_size() - kept.size();
+  if (purged > 0) Rebuild(std::move(kept));
   return purged;
-}
-
-std::string VersionedCharList::Text() const {
-  std::string out;
-  out.reserve(live_);
-  for (const auto& seg : segs_) {
-    for (const SnapChar& c : seg->chars) {
-      if (c.deleted == 0) AppendUtf8(&out, c.cp);
-    }
-  }
-  return out;
-}
-
-std::string VersionedCharList::TextRange(size_t pos, size_t len) const {
-  assert(pos + len <= live_);
-  std::string out;
-  out.reserve(len);
-  size_t skip = pos;
-  size_t remaining = len;
-  for (const auto& seg : segs_) {
-    if (remaining == 0) break;
-    if (skip >= seg->live) {
-      skip -= seg->live;
-      continue;
-    }
-    for (const SnapChar& c : seg->chars) {
-      if (c.deleted != 0) continue;
-      if (skip > 0) {
-        --skip;
-        continue;
-      }
-      if (remaining == 0) break;
-      AppendUtf8(&out, c.cp);
-      --remaining;
-    }
-  }
-  return out;
-}
-
-std::vector<std::shared_ptr<const SnapSegment>> VersionedCharList::Freeze() {
-  std::fill(frozen_.begin(), frozen_.end(), uint8_t{1});
-  return std::vector<std::shared_ptr<const SnapSegment>>(segs_.begin(),
-                                                         segs_.end());
 }
 
 }  // namespace tendax

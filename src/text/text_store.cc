@@ -83,6 +83,36 @@ CharInfo CharInfoFromRecord(const Record& rec) {
   return info;
 }
 
+/// The chain's provenance for a char: null without one, `prev` when equal
+/// to it (so a run from one source shares a single copy).
+std::shared_ptr<const CharSource> SourceOf(
+    uint64_t doc, uint64_t char_id, const std::string& external,
+    const std::shared_ptr<const CharSource>& prev) {
+  if (doc == 0 && char_id == 0 && external.empty()) return nullptr;
+  if (prev != nullptr && prev->doc == doc && prev->char_id == char_id &&
+      prev->external == external) {
+    return prev;
+  }
+  return std::make_shared<const CharSource>(CharSource{doc, char_id, external});
+}
+
+/// Copy's capture of `c` from document `doc`. Provenance points at the
+/// *original* character: if `c` was itself pasted, keep its source;
+/// otherwise `c` is the source.
+PasteChar CopyOf(const SnapChar& c, DocumentId doc) {
+  PasteChar pc;
+  pc.cp = c.cp;
+  if (c.src != nullptr && c.src->doc != 0) {
+    pc.src_doc = DocumentId(c.src->doc);
+    pc.src_char = CharId(c.src->char_id);
+  } else {
+    pc.src_doc = doc;
+    pc.src_char = CharId(c.id);
+  }
+  if (c.src != nullptr) pc.src_external = c.src->external;
+  return pc;
+}
+
 Status PurgeFloorError(DocumentId doc, Version version, Version floor) {
   return Status::FailedPrecondition(
       "version " + std::to_string(version) + " predates the purge floor " +
@@ -247,9 +277,9 @@ Status TextStore::LoadHandle(DocHandle* handle, DocumentId doc) {
     sc.cp = static_cast<uint32_t>(crec->GetUint(kCcCp));
     sc.inserted = crec->GetUint(kCcInsVer);
     sc.deleted = crec->GetUint(kCcDelVer);
-    sc.src_doc = crec->GetUint(kCcSrcDoc);
-    sc.src_char = crec->GetUint(kCcSrcChar);
-    sc.src_external = crec->GetString(kCcSrcExt);
+    sc.src = SourceOf(crec->GetUint(kCcSrcDoc), crec->GetUint(kCcSrcChar),
+                      crec->GetString(kCcSrcExt),
+                      chain.empty() ? nullptr : chain.back().src);
     chain.push_back(std::move(sc));
     current = crec->GetUint(kCcNext);
   }
@@ -325,6 +355,42 @@ void TextStore::SetSnapshotsEnabled(bool on) {
 
 void TextStore::RefreshMvccGauges() { tracker_->RefreshGauges(); }
 
+Status TextStore::CheckIntegrity() {
+  std::vector<std::pair<uint64_t, std::shared_ptr<DocHandle>>> all;
+  {
+    MutexLock lock(handles_mu_);
+    all.assign(handles_.begin(), handles_.end());
+  }
+  for (auto& [id, handle] : all) {
+    const DocumentId doc(id);
+    Status st = db_->txns()->RunInTxn(
+        UserId(0), [&](Transaction* txn) -> Status {
+          TENDAX_RETURN_IF_ERROR(db_->locks()->Acquire(
+              txn->id(), MakeResource(ResourceKind::kDocument, doc.value),
+              LockMode::kS));
+          MutexLock lock(handle->mu);
+          if (!handle->loaded) return Status::OK();
+          TENDAX_RETURN_IF_ERROR(CheckChainTree(handle->chain.root()));
+          auto rid = doc_index_->GetFirst(doc.value);
+          if (!rid.ok()) return rid.status();
+          auto rec = docs_table_->Get(RecordId::Unpack(*rid));
+          if (!rec.ok()) return rec.status();
+          // A cache behind the stored version is stale, not corrupt: the
+          // next edit or read reloads it.
+          if (rec->GetUint(kDcVersion) != handle->version) return Status::OK();
+          if (rec->GetUint(kDcLive) != handle->chain.live_size()) {
+            return Status::Corruption("chain live count != document record's");
+          }
+          return Status::OK();
+        });
+    if (!st.ok()) {
+      return Status::FromCode(st.code(), "document " + doc.ToString() + ": " +
+                                             st.message());
+    }
+  }
+  return Status::OK();
+}
+
 SnapshotRef TextStore::PrepareLockedSnapshot(DocHandle* handle) {
   DocumentInfo info;
   info.id = handle->id;
@@ -338,14 +404,20 @@ SnapshotRef TextStore::PrepareLockedSnapshot(DocHandle* handle) {
       std::move(info), handle->purge_floor, handle->chain.Freeze(), tracker_);
 }
 
+void TextStore::Publish(DocHandle* handle, const SnapshotRef& snap) {
+  if (snap->version() < handle->published) return;
+  if (handle->snapshot == nullptr ||
+      handle->snapshot->version() < snap->version()) {
+    handle->snapshot = snap;
+    handle->published = snap->version();
+  }
+}
+
 void TextStore::InstallSnapshot(DocHandle* handle, const SnapshotRef& snap) {
   MutexLock lock(handle->mu);
   {
     MutexLock slot(handle->snapshot_mu);
-    if (handle->snapshot == nullptr ||
-        handle->snapshot->version() < snap->version()) {
-      handle->snapshot = snap;
-    }
+    Publish(handle, snap);
   }
   if (handle->pending_snapshot == snap) handle->pending_snapshot = nullptr;
 }
@@ -381,10 +453,7 @@ void TextStore::OnCommitted(const ChangeBatch& events) {
     }
     {
       MutexLock slot(handle->snapshot_mu);
-      if (handle->snapshot == nullptr ||
-          handle->snapshot->version() < ev.version) {
-        handle->snapshot = handle->pending_snapshot;
-      }
+      Publish(handle.get(), handle->pending_snapshot);
     }
     handle->pending_snapshot = nullptr;
   }
@@ -417,14 +486,21 @@ Result<SnapshotRef> TextStore::AcquireSnapshot(DocumentId doc) {
               txn->id(), MakeResource(ResourceKind::kDocument, doc.value),
               LockMode::kS));
           MutexLock lock(handle->mu);
-          if (!handle->loaded) {
-            TENDAX_RETURN_IF_ERROR(LoadHandle(handle.get(), doc));
-          }
+          // A loaded cache may still be stale (a commit that went through
+          // a detached handle) or torn (loaded by a lock-free path while
+          // an edit was applying its records); pin it to the committed
+          // header first.
+          TENDAX_RETURN_IF_ERROR(EnsureFreshBase(handle.get(), doc));
           MutexLock slot(handle->snapshot_mu);
           if (handle->snapshot == nullptr) {
-            handle->snapshot = PrepareLockedSnapshot(handle.get());
+            Publish(handle.get(), PrepareLockedSnapshot(handle.get()));
           }
           snap = handle->snapshot;
+          // Unreachable: under the S lock the stored header is at least
+          // every version ever published.
+          if (snap == nullptr) {
+            return Status::Internal("snapshot slot below its high-water mark");
+          }
           return Status::OK();
         });
     if (!st.ok()) return st;
@@ -492,9 +568,10 @@ Status TextStore::WriteDocRecord(Transaction* txn, DocHandle* handle) {
 
 Result<EditResult> TextStore::RunEdit(UserId user, DocumentId doc,
                                       ChangeKind kind, const EditBody& body) {
-  auto handle = Handle(doc);
-  if (!handle.ok()) return handle.status();
-  DocHandle* h = handle->get();
+  // No load here: a load outside the document lock can capture another
+  // edit's uncommitted records. EnsureFreshBase loads under the X lock.
+  std::shared_ptr<DocHandle> handle = HandleSlot(doc);
+  DocHandle* h = handle.get();
 
   EditResult result;
   bool cache_mutated = false;
@@ -604,9 +681,9 @@ Status TextStore::InsertCharsAt(Transaction* txn, DocHandle* handle,
     sc.id = ids[i];
     sc.cp = chars[i].cp;
     sc.inserted = new_version;
-    sc.src_doc = chars[i].src_doc.value;
-    sc.src_char = chars[i].src_char.value;
-    sc.src_external = chars[i].src_external;
+    sc.src = SourceOf(chars[i].src_doc.value, chars[i].src_char.value,
+                      chars[i].src_external,
+                      run.empty() ? nullptr : run.back().src);
     run.push_back(std::move(sc));
     result->chars.push_back(CharId(ids[i]));
   }
@@ -666,22 +743,7 @@ Result<std::vector<PasteChar>> TextStore::Copy(UserId user, DocumentId doc,
           auto range = snap->LiveRange(pos, len);
           if (!range.ok()) return range.status();
           out.reserve(range->size());
-          for (const SnapChar& c : *range) {
-            PasteChar pc;
-            pc.cp = c.cp;
-            // Provenance points at the *original* character: if this char
-            // was itself pasted, keep its source; otherwise this char is
-            // the source.
-            if (c.src_doc != 0) {
-              pc.src_doc = DocumentId(c.src_doc);
-              pc.src_char = CharId(c.src_char);
-            } else {
-              pc.src_doc = doc;
-              pc.src_char = CharId(c.id);
-            }
-            pc.src_external = c.src_external;
-            out.push_back(std::move(pc));
-          }
+          for (const SnapChar& c : *range) out.push_back(CopyOf(c, doc));
           return Status::OK();
         });
     if (!st.ok()) return st;
@@ -706,19 +768,8 @@ Result<std::vector<PasteChar>> TextStore::Copy(UserId user, DocumentId doc,
     }
     out.clear();
     out.reserve(len);
-    for (size_t i = pos; i < pos + len; ++i) {
-      const SnapChar& c = h->chain.LiveAt(i);
-      PasteChar pc;
-      pc.cp = c.cp;
-      if (c.src_doc != 0) {
-        pc.src_doc = DocumentId(c.src_doc);
-        pc.src_char = CharId(c.src_char);
-      } else {
-        pc.src_doc = doc;
-        pc.src_char = CharId(c.id);
-      }
-      pc.src_external = c.src_external;
-      out.push_back(std::move(pc));
+    for (const SnapChar& c : h->chain.LiveRange(pos, len)) {
+      out.push_back(CopyOf(c, doc));
     }
     return Status::OK();
   });
@@ -743,8 +794,7 @@ Result<EditResult> TextStore::DeleteRange(UserId user, DocumentId doc,
         if (pos + len > h->chain.live_size()) {
           return Status::OutOfRange("delete range beyond document length");
         }
-        for (size_t i = pos; i < pos + len; ++i) {
-          const SnapChar& c = h->chain.LiveAt(i);
+        for (const SnapChar& c : h->chain.LiveRange(pos, len)) {
           auto rec = ReadCharRecord(h, c.id);
           if (!rec.ok()) return rec.status();
           rec->value(kCcDelVer) = uint64_t{out->version};
@@ -757,48 +807,42 @@ Result<EditResult> TextStore::DeleteRange(UserId user, DocumentId doc,
       });
 }
 
-Result<EditResult> TextStore::DeleteChars(UserId user, DocumentId doc,
-                                          const std::vector<CharId>& ids) {
+Result<EditResult> TextStore::SetCharsDeleted(UserId user, DocumentId doc,
+                                              const std::vector<CharId>& ids,
+                                              bool deleted) {
   return RunEdit(
-      user, doc, ChangeKind::kTextDeleted,
+      user, doc, deleted ? ChangeKind::kTextDeleted : ChangeKind::kTextInserted,
       [&](Transaction* txn, DocHandle* h, EditResult* out) -> Status {
+        const Version version = deleted ? out->version : 0;
+        std::vector<uint64_t> changed;
         for (CharId id : ids) {
           auto rec = ReadCharRecord(h, id.value);
           if (!rec.ok()) return rec.status();
-          if (rec->GetUint(kCcDelVer) != 0) continue;  // already gone
-          rec->value(kCcDelVer) = uint64_t{out->version};
-          rec->value(kCcDeletedBy) = user.value;
+          if ((rec->GetUint(kCcDelVer) == 0) != deleted) continue;  // no-op
+          rec->value(kCcDelVer) = uint64_t{version};
+          rec->value(kCcDeletedBy) = deleted ? user.value : uint64_t{0};
           TENDAX_RETURN_IF_ERROR(UpdateCharRecord(txn, h, id.value, *rec));
-          h->chain.TombstoneById(id.value, out->version);
+          changed.push_back(id.value);
           out->chars.push_back(id);
+        }
+        // Tombstones never leave the chain, so flipping them in place
+        // moves no position: one pass over the affected leaves. A
+        // mismatch fails the edit, and the abort reloads the cache.
+        if (h->chain.SetDeleted(changed, version) != changed.size()) {
+          return Status::Internal("char chain cache out of sync");
         }
         return Status::OK();
       });
 }
 
+Result<EditResult> TextStore::DeleteChars(UserId user, DocumentId doc,
+                                          const std::vector<CharId>& ids) {
+  return SetCharsDeleted(user, doc, ids, true);
+}
+
 Result<EditResult> TextStore::ResurrectChars(UserId user, DocumentId doc,
                                              const std::vector<CharId>& ids) {
-  return RunEdit(
-      user, doc, ChangeKind::kTextInserted,
-      [&](Transaction* txn, DocHandle* h, EditResult* out) -> Status {
-        for (CharId id : ids) {
-          auto rec = ReadCharRecord(h, id.value);
-          if (!rec.ok()) return rec.status();
-          if (rec->GetUint(kCcDelVer) == 0) continue;  // already live
-          rec->value(kCcDelVer) = uint64_t{0};
-          rec->value(kCcDeletedBy) = uint64_t{0};
-          TENDAX_RETURN_IF_ERROR(UpdateCharRecord(txn, h, id.value, *rec));
-          out->chars.push_back(id);
-        }
-        // Positions of revived characters derive from the chain; rebuild
-        // the order cache from the database (rare operation: undo only).
-        Status reload = LoadHandle(h, doc);
-        if (!reload.ok()) {
-          h->loaded = false;
-          return reload;
-        }
-        return Status::OK();
-      });
+  return SetCharsDeleted(user, doc, ids, false);
 }
 
 Result<std::string> TextStore::Text(DocumentId doc) {
@@ -916,8 +960,8 @@ Result<std::vector<CharInfo>> TextStore::RangeInfo(DocumentId doc, size_t pos,
   }
   std::vector<CharInfo> out;
   out.reserve(len);
-  for (size_t i = pos; i < pos + len; ++i) {
-    auto rec = ReadCharRecord(h, h->chain.LiveAt(i).id);
+  for (const SnapChar& c : h->chain.LiveRange(pos, len)) {
+    auto rec = ReadCharRecord(h, c.id);
     if (!rec.ok()) return rec.status();
     out.push_back(CharInfoFromRecord(*rec));
   }

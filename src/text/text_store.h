@@ -56,7 +56,7 @@ struct PasteChar {
 ///
 /// Characters are tombstoned, never physically removed, which yields
 /// time-travel reads (`TextAtVersion`) and cheap global undo. Per-document
-/// order is cached in memory for open documents (a copy-on-write
+/// order is cached in memory for open documents (a persistent tree,
 /// `VersionedCharList`) and rebuilt from the linked records at open — the
 /// database stays the only source of truth.
 ///
@@ -177,6 +177,13 @@ class TextStore {
     return snapshots_enabled_.load(std::memory_order_relaxed);
   }
 
+  /// Checks every loaded document's in-memory chain against its tree
+  /// invariants (`CheckChainTree`) and, when the cache is at the stored
+  /// version, its live count against the document record's. Takes each
+  /// document's shared lock, so no edit is half applied. kCorruption names
+  /// the document and the first breach.
+  Status CheckIntegrity() TENDAX_EXCLUDES(handles_mu_);
+
   /// Recomputes mvcc.live_snapshots / mvcc.oldest_snapshot_age_micros;
   /// the stats scrape calls this so kStats folds the gauges in.
   void RefreshMvccGauges();
@@ -208,7 +215,8 @@ class TextStore {
     // head/tail: physical first/last char id (may be tombstones).
     uint64_t head TENDAX_GUARDED_BY(mu) = 0;
     uint64_t tail TENDAX_GUARDED_BY(mu) = 0;
-    // Full chain including tombstones, copy-on-write with snapshots.
+    // Full chain including tombstones; published snapshots share its
+    // tree nodes copy-on-write.
     VersionedCharList chain TENDAX_GUARDED_BY(mu);
     std::unordered_map<uint64_t, RecordId> char_rids
         TENDAX_GUARDED_BY(mu);  // all chars
@@ -224,6 +232,11 @@ class TextStore {
     // overwrites a newer snapshot.
     Mutex snapshot_mu{"textstore.snapshot", lockorder::kRankLeaf};
     SnapshotRef snapshot TENDAX_GUARDED_BY(snapshot_mu);
+    // The highest version the slot ever held. Eviction and stale-cache
+    // drops empty the slot but keep this, so the post-commit install of a
+    // slow committer cannot put an older version back where a reader that
+    // already saw a newer one (through this handle object) would find it.
+    Version published TENDAX_GUARDED_BY(snapshot_mu) = 0;
     // Snapshot prepared by an in-flight edit (under `mu`, pre-commit);
     // moved into `snapshot` by the commit listener / post-commit install,
     // discarded on abort via handle invalidation.
@@ -254,10 +267,14 @@ class TextStore {
   Result<EditResult> RunEdit(UserId user, DocumentId doc, ChangeKind kind,
                              const EditBody& body);
 
-  /// Materializes an immutable snapshot of the handle's current state
-  /// (shares chain segments copy-on-write; cheap).
+  /// Materializes an immutable snapshot of the handle's current state;
+  /// O(1): it shares the chain tree's root.
   SnapshotRef PrepareLockedSnapshot(DocHandle* handle)
       TENDAX_REQUIRES(handle->mu);
+  /// Stores `snap` into the publication slot unless the slot holds, or
+  /// ever held, a newer version.
+  static void Publish(DocHandle* handle, const SnapshotRef& snap)
+      TENDAX_REQUIRES(handle->snapshot_mu);
   /// Version-monotone store into the publication slot.
   void InstallSnapshot(DocHandle* handle, const SnapshotRef& snap)
       TENDAX_EXCLUDES(handle->mu);
@@ -274,6 +291,11 @@ class TextStore {
       TENDAX_REQUIRES(handle->mu);
   Status WriteDocRecord(Transaction* txn, DocHandle* handle)
       TENDAX_REQUIRES(handle->mu);
+  /// DeleteChars (deleted) / ResurrectChars (!deleted): records first,
+  /// then the chain cache in one pass.
+  Result<EditResult> SetCharsDeleted(UserId user, DocumentId doc,
+                                     const std::vector<CharId>& ids,
+                                     bool deleted);
   /// Core insertion: links `chars` after the live character at pos-1.
   Status InsertCharsAt(Transaction* txn, DocHandle* handle, UserId user,
                        size_t pos, const std::vector<PasteChar>& chars,

@@ -6,10 +6,8 @@ namespace {
 constexpr uint32_t kReplacement = 0xFFFD;
 }
 
-void AppendUtf8(std::string* out, uint32_t cp) {
-  if (cp <= 0x7F) {
-    out->push_back(static_cast<char>(cp));
-  } else if (cp <= 0x7FF) {
+void AppendUtf8Multibyte(std::string* out, uint32_t cp) {
+  if (cp <= 0x7FF) {
     out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
     out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
   } else if (cp <= 0xFFFF) {

@@ -13,8 +13,17 @@ namespace tendax {
 /// edit operations segment incoming text into code points first. Invalid
 /// bytes decode as U+FFFD so editor input can never corrupt the store.
 
-/// Appends the UTF-8 encoding of `cp` to `out`.
-void AppendUtf8(std::string* out, uint32_t cp);
+void AppendUtf8Multibyte(std::string* out, uint32_t cp);
+
+/// Appends the UTF-8 encoding of `cp` to `out`. Inline for ASCII, which
+/// dominates every whole-document walk.
+inline void AppendUtf8(std::string* out, uint32_t cp) {
+  if (cp <= 0x7F) {
+    out->push_back(static_cast<char>(cp));
+  } else {
+    AppendUtf8Multibyte(out, cp);
+  }
+}
 
 /// Encodes a sequence of code points.
 std::string EncodeUtf8(const std::vector<uint32_t>& cps);

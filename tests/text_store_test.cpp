@@ -4,7 +4,6 @@
 
 #include <thread>
 
-#include "text/char_list.h"
 #include "text/text_store.h"
 #include "text/utf8.h"
 
@@ -37,71 +36,6 @@ TEST(Utf8Test, InvalidBytesBecomeReplacement) {
   // Overlong encoding rejected.
   auto cps3 = DecodeUtf8("\xC0\x80");
   EXPECT_EQ(cps3[0], 0xFFFDu);
-}
-
-// ---------- CharList ----------
-
-TEST(CharListTest, InsertEraseAndText) {
-  CharList list;
-  EXPECT_TRUE(list.empty());
-  list.Insert(0, {1, 'b'});
-  list.Insert(0, {2, 'a'});
-  list.Insert(2, {3, 'c'});
-  EXPECT_EQ(list.Text(), "abc");
-  EXPECT_EQ(list.At(1).id, 1u);
-  list.Erase(1);
-  EXPECT_EQ(list.Text(), "ac");
-  EXPECT_EQ(list.size(), 2u);
-}
-
-TEST(CharListTest, FindById) {
-  CharList list;
-  for (uint32_t i = 0; i < 100; ++i) {
-    list.Insert(i, {i + 1, 'a' + (i % 26)});
-  }
-  EXPECT_EQ(*list.FindById(1), 0u);
-  EXPECT_EQ(*list.FindById(50), 49u);
-  EXPECT_EQ(*list.FindById(100), 99u);
-  EXPECT_FALSE(list.FindById(999).has_value());
-}
-
-TEST(CharListTest, BlockSplitsPreserveOrder) {
-  CharList list;
-  const size_t n = CharList::kBlockSize * 5 + 37;
-  for (size_t i = 0; i < n; ++i) {
-    list.Insert(list.size(), {i + 1, static_cast<uint32_t>('a' + (i % 26))});
-  }
-  EXPECT_EQ(list.size(), n);
-  for (size_t i = 0; i < n; i += 977) {
-    EXPECT_EQ(list.At(i).id, i + 1);
-  }
-  // Middle insert after splits.
-  list.Insert(n / 2, {999999, 'X'});
-  EXPECT_EQ(list.At(n / 2).id, 999999u);
-  EXPECT_EQ(list.size(), n + 1);
-}
-
-TEST(CharListTest, EraseRangeAcrossBlocks) {
-  CharList list;
-  const size_t n = CharList::kBlockSize * 3;
-  for (size_t i = 0; i < n; ++i) {
-    list.Insert(list.size(), {i + 1, 'x'});
-  }
-  list.EraseRange(100, CharList::kBlockSize * 2);
-  EXPECT_EQ(list.size(), n - CharList::kBlockSize * 2);
-  EXPECT_EQ(list.At(99).id, 100u);
-  EXPECT_EQ(list.At(100).id, 100u + CharList::kBlockSize * 2 + 1);
-}
-
-TEST(CharListTest, TextRangeWindows) {
-  CharList list;
-  std::string alphabet = "abcdefghijklmnopqrstuvwxyz";
-  for (size_t i = 0; i < alphabet.size(); ++i) {
-    list.Insert(i, {i + 1, static_cast<uint32_t>(alphabet[i])});
-  }
-  EXPECT_EQ(list.TextRange(0, 3), "abc");
-  EXPECT_EQ(list.TextRange(23, 3), "xyz");
-  EXPECT_EQ(list.TextRange(5, 0), "");
 }
 
 // ---------- TextStore ----------
@@ -293,6 +227,35 @@ TEST_F(TextStoreTest, DeleteCharsById) {
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->chars.empty());
   EXPECT_EQ(*store_->Text(doc_), "ace");
+}
+
+TEST_F(TextStoreTest, UndoAcrossLeavesKeepsCacheInStepWithRecords) {
+  // Long enough that the chain cache spans many tree leaves.
+  std::string text;
+  for (int i = 0; i < 3000; ++i) text += static_cast<char>('a' + i % 26);
+  ASSERT_TRUE(store_->InsertText(alice_, doc_, 0, text).ok());
+  auto del = store_->DeleteRange(alice_, doc_, 500, 1500);
+  ASSERT_TRUE(del.ok());
+  auto paste = store_->InsertText(alice_, doc_, 700, "pasted");
+  ASSERT_TRUE(paste.ok());
+  ASSERT_TRUE(store_->CheckIntegrity().ok());
+
+  // Undo of the paste, then undo of the delete: both in place, no reload.
+  ASSERT_TRUE(store_->DeleteChars(alice_, doc_, paste->chars).ok());
+  auto res = store_->ResurrectChars(alice_, doc_, del->chars);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res->chars.size(), 1500u);
+  EXPECT_EQ(*store_->Text(doc_), text);
+  Status st = store_->CheckIntegrity();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+
+  // The cache agrees with a reload from the records.
+  store_->InvalidateHandle(doc_);
+  EXPECT_EQ(*store_->Text(doc_), text);
+  // The paste went in after live char 699, i.e. after text[2199], ahead
+  // of no tombstone: history shows it there.
+  EXPECT_EQ(*store_->TextAtVersion(doc_, 3),
+            text.substr(0, 2200) + "pasted" + text.substr(2200));
 }
 
 TEST_F(TextStoreTest, TextRangeAndRangeInfo) {
