@@ -36,7 +36,7 @@ PriorityClass ClassifyCommand(CommandKind kind) {
 AdmissionController::AdmissionController(const AdmissionOptions& options,
                                          MetricsRegistry* metrics)
     : options_(options) {
-  if (metrics == nullptr) return;
+  metrics = SharedOrOwnedRegistry(metrics, &owned_metrics_);
   for (size_t c = 0; c < kPriorityClassCount; ++c) {
     const std::string suffix = PriorityClassName(static_cast<PriorityClass>(c));
     m_admitted_[c] = metrics->counter("admission.admitted." + suffix);
@@ -60,17 +60,13 @@ bool AdmissionController::Degraded() {
   // without mu_ held; the cached flag is what the admission path consults.
   const bool degraded = probe_ ? probe_() : false;
   degraded_.store(degraded, std::memory_order_relaxed);
-  MetricSet(m_degraded_, degraded ? 1 : 0);
+  m_degraded_->Set(degraded ? 1 : 0);
   return degraded;
 }
 
 Status AdmissionController::AdmitNewSession() {
   if (!enabled() || !Degraded()) return Status::OK();
-  {
-    MutexLock lock(mu_);
-    ++stats_.sessions_refused;
-  }
-  MetricAdd(m_sessions_refused_);
+  m_sessions_refused_->Add();
   return Status::Unavailable(
       "server is degraded (dirty-page pressure); not accepting new sessions");
 }
@@ -88,16 +84,13 @@ uint64_t AdmissionController::RetryAfterLocked() const {
       1, std::min(hint, options_.retry_after_max_micros));
 }
 
-void AdmissionController::ShedLocked(PriorityClass cls) {
-  ++stats_.shed[static_cast<size_t>(cls)];
-  MetricAdd(m_shed_[static_cast<size_t>(cls)]);
+void AdmissionController::CountShed(PriorityClass cls) {
+  m_shed_[static_cast<size_t>(cls)]->Add();
 }
 
 void AdmissionController::PublishGaugesLocked() {
-  MetricSet(m_inflight_, static_cast<int64_t>(inflight_));
-  MetricSet(m_queued_, static_cast<int64_t>(QueuedLocked()));
-  stats_.inflight = inflight_;
-  stats_.queued = QueuedLocked();
+  m_inflight_->Set(static_cast<int64_t>(inflight_));
+  m_queued_->Set(static_cast<int64_t>(QueuedLocked()));
 }
 
 void AdmissionController::GrantLocked() {
@@ -126,7 +119,7 @@ AdmissionController::Ticket AdmissionController::Admit(PriorityClass cls) {
       probe_ ? Degraded() : degraded_.load(std::memory_order_relaxed);
   if (degraded && cls == PriorityClass::kBackground) {
     MutexLock lock(mu_);
-    ShedLocked(cls);
+    CountShed(cls);
     ticket.retry_after_micros = RetryAfterLocked();
     MetricRecord(m_retry_after_, ticket.retry_after_micros);
     ticket.status =
@@ -139,8 +132,7 @@ AdmissionController::Ticket AdmissionController::Admit(PriorityClass cls) {
 
   if (inflight_ < options_.max_inflight && QueuedLocked() == 0) {
     ++inflight_;
-    ++stats_.admitted[static_cast<size_t>(cls)];
-    MetricAdd(m_admitted_[static_cast<size_t>(cls)]);
+    m_admitted_[static_cast<size_t>(cls)]->Add();
     PublishGaugesLocked();
     return ticket;
   }
@@ -158,7 +150,7 @@ AdmissionController::Ticket AdmissionController::Admit(PriorityClass cls) {
       }
     }
     if (victim == kPriorityClassCount || static_cast<size_t>(cls) >= victim) {
-      ShedLocked(cls);
+      CountShed(cls);
       ticket.retry_after_micros = RetryAfterLocked();
       MetricRecord(m_retry_after_, ticket.retry_after_micros);
       ticket.status = Status::Unavailable("admission queue full");
@@ -168,7 +160,7 @@ AdmissionController::Ticket AdmissionController::Admit(PriorityClass cls) {
     Waiter* displaced = queues_[victim].back();
     queues_[victim].pop_back();
     displaced->shed = true;
-    ShedLocked(displaced->cls);
+    CountShed(displaced->cls);
     displaced->cv.NotifyOne();
   }
 
@@ -190,12 +182,11 @@ AdmissionController::Ticket AdmissionController::Admit(PriorityClass cls) {
         !self.granted && !self.shed) {
       UnlinkLocked(&self);
       if (has_request_deadline && RequestDeadline::Expired()) {
-        ++stats_.deadline_exceeded;
-        MetricAdd(m_deadline_exceeded_);
+        m_deadline_exceeded_->Add();
         ticket.status = Status::DeadlineExceeded(
             "request deadline expired while queued for admission");
       } else {
-        ShedLocked(cls);
+        CountShed(cls);
         ticket.retry_after_micros = RetryAfterLocked();
         MetricRecord(m_retry_after_, ticket.retry_after_micros);
         ticket.status = Status::Unavailable("queued past max_queue_wait");
@@ -220,8 +211,7 @@ AdmissionController::Ticket AdmissionController::Admit(PriorityClass cls) {
   }
 
   // Granted: GrantLocked() already moved the slot to us.
-  ++stats_.admitted[static_cast<size_t>(cls)];
-  MetricAdd(m_admitted_[static_cast<size_t>(cls)]);
+  m_admitted_[static_cast<size_t>(cls)]->Add();
   PublishGaugesLocked();
   return ticket;
 }
@@ -235,11 +225,17 @@ void AdmissionController::Release() {
 }
 
 AdmissionStats AdmissionController::Stats() const {
+  AdmissionStats out;
+  for (size_t c = 0; c < kPriorityClassCount; ++c) {
+    out.admitted[c] = m_admitted_[c]->Value();
+    out.shed[c] = m_shed_[c]->Value();
+  }
+  out.deadline_exceeded = m_deadline_exceeded_->Value();
+  out.sessions_refused = m_sessions_refused_->Value();
+  out.degraded = degraded_.load(std::memory_order_relaxed);
   MutexLock lock(mu_);
-  AdmissionStats out = stats_;
   out.inflight = inflight_;
   out.queued = QueuedLocked();
-  out.degraded = degraded_.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 
 #include "obs/metrics.h"
 #include "util/lock_order.h"
@@ -52,7 +53,8 @@ struct AdmissionOptions {
   uint64_t max_queue_wait_micros = 2'000'000;
 };
 
-/// Per-class shed/admit totals, mirrored into `admission.*` registry metrics.
+/// Per-class shed/admit totals, read from the `admission.*` registry
+/// metrics, plus the controller's live inflight/queued/degraded state.
 struct AdmissionStats {
   uint64_t admitted[kPriorityClassCount] = {0, 0, 0};
   uint64_t shed[kPriorityClassCount] = {0, 0, 0};
@@ -87,6 +89,8 @@ class AdmissionController {
     uint64_t retry_after_micros = 0;  // nonzero iff status.IsUnavailable()
   };
 
+  /// `metrics` may be null (standalone use: the controller then counts
+  /// into a private registry); it must outlive the controller.
   AdmissionController(const AdmissionOptions& options,
                       MetricsRegistry* metrics);
 
@@ -151,7 +155,7 @@ class AdmissionController {
   void UnlinkLocked(Waiter* w) TENDAX_REQUIRES(mu_);
   uint64_t RetryAfterLocked() const TENDAX_REQUIRES(mu_);
   size_t QueuedLocked() const TENDAX_REQUIRES(mu_);
-  void ShedLocked(PriorityClass cls) TENDAX_REQUIRES(mu_);
+  void CountShed(PriorityClass cls);
   void PublishGaugesLocked() TENDAX_REQUIRES(mu_);
 
   const AdmissionOptions options_;
@@ -159,11 +163,12 @@ class AdmissionController {
   mutable Mutex mu_{"admission.mu", lockorder::kRankServer};
   size_t inflight_ TENDAX_GUARDED_BY(mu_) = 0;
   std::deque<Waiter*> queues_[kPriorityClassCount] TENDAX_GUARDED_BY(mu_);
-  AdmissionStats stats_ TENDAX_GUARDED_BY(mu_);
 
   std::function<bool()> probe_;
   std::atomic<bool> degraded_{false};
 
+  // The only store of the controller's counters (never null).
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
   Counter* m_admitted_[kPriorityClassCount] = {};
   Counter* m_shed_[kPriorityClassCount] = {};
   Counter* m_deadline_exceeded_ = nullptr;

@@ -24,14 +24,13 @@ const char* CheckpointPhaseName(CheckpointPhase phase) {
 Checkpointer::Checkpointer(Wal* wal, BufferPool* pool, TxnManager* txns,
                            MetricsRegistry* metrics, CheckpointOptions options)
     : wal_(wal), pool_(pool), txns_(txns), options_(std::move(options)) {
-  if (metrics != nullptr) {
-    m_completed_ = metrics->counter("checkpoint.completed");
-    m_failed_ = metrics->counter("checkpoint.failed");
-    m_pages_flushed_ = metrics->counter("checkpoint.pages_flushed");
-    m_pages_busy_ = metrics->counter("checkpoint.pages_skipped_busy");
-    m_duration_micros_ = metrics->histogram("checkpoint.duration_micros");
-    m_pages_per_checkpoint_ = metrics->histogram("checkpoint.pages");
-  }
+  metrics = SharedOrOwnedRegistry(metrics, &owned_metrics_);
+  m_completed_ = metrics->counter("checkpoint.completed");
+  m_failed_ = metrics->counter("checkpoint.failed");
+  m_pages_flushed_ = metrics->counter("checkpoint.pages_flushed");
+  m_pages_busy_ = metrics->counter("checkpoint.pages_skipped_busy");
+  m_duration_micros_ = metrics->histogram("checkpoint.duration_micros");
+  m_pages_per_checkpoint_ = metrics->histogram("checkpoint.pages");
 }
 
 Checkpointer::~Checkpointer() { Stop(); }
@@ -98,15 +97,7 @@ void Checkpointer::Loop() {
 Status Checkpointer::CheckpointNow() {
   MutexLock run(run_mu_);
   Status st = RunOnce();
-  if (st.ok()) {
-    MetricAdd(m_completed_);
-    MutexLock lock(state_mu_);
-    ++stats_.completed;
-  } else {
-    MetricAdd(m_failed_);
-    MutexLock lock(state_mu_);
-    ++stats_.failed;
-  }
+  (st.ok() ? m_completed_ : m_failed_)->Add();
   return st;
 }
 
@@ -157,8 +148,8 @@ Status Checkpointer::RunOnce() {
       ++busy;
     }
   }
-  MetricAdd(m_pages_flushed_, flushed);
-  MetricAdd(m_pages_busy_, busy);
+  m_pages_flushed_->Add(flushed);
+  m_pages_busy_->Add(busy);
   MetricRecord(m_pages_per_checkpoint_, flushed);
 
   Hook(index, CheckpointPhase::kAfterDirtyFlush);
@@ -205,27 +196,20 @@ Status Checkpointer::RunOnce() {
     TENDAX_RETURN_IF_ERROR(wal_->RotateSegmentNow());
     auto freed = wal_->TruncateSegmentsBelow(bound);
     if (!freed.ok()) return freed.status();
-    if (*freed > 0) {
-      MutexLock lock(state_mu_);
-      stats_.bytes_truncated += *freed;
-    }
   }
 
   Hook(index, CheckpointPhase::kAfterTruncate);
-
-  {
-    MutexLock lock(state_mu_);
-    stats_.pages_flushed += flushed;
-    stats_.pages_skipped_busy += busy;
-    stats_.last_end_lsn = *end_lsn;
-    stats_.last_redo_lsn = redo_lsn;
-  }
   return Status::OK();
 }
 
 CheckpointerStats Checkpointer::stats() const {
-  MutexLock lock(state_mu_);
-  return stats_;
+  CheckpointerStats out;
+  out.completed = m_completed_->Value();
+  out.failed = m_failed_->Value();
+  out.pages_flushed = m_pages_flushed_->Value();
+  out.pages_skipped_busy = m_pages_busy_->Value();
+  out.bytes_truncated = wal_->truncated_bytes();
+  return out;
 }
 
 }  // namespace tendax

@@ -57,15 +57,14 @@ struct CheckpointOptions {
   std::shared_ptr<CheckpointHooks> hooks;
 };
 
-/// Counters for the checkpoint pipeline.
+/// Counters for the checkpoint pipeline, read from the `checkpoint.*`
+/// registry metrics (and the WAL's `wal.truncated_bytes`).
 struct CheckpointerStats {
   uint64_t completed = 0;
   uint64_t failed = 0;
   uint64_t pages_flushed = 0;       // dirty pages written by checkpoints
   uint64_t pages_skipped_busy = 0;  // left dirty because they stayed pinned
   uint64_t bytes_truncated = 0;     // WAL segment bytes deleted
-  Lsn last_end_lsn = kInvalidLsn;   // kCheckpointEnd of the last success
-  Lsn last_redo_lsn = kInvalidLsn;  // its computed redo point
 };
 
 /// The non-quiescent (fuzzy) checkpointer. A checkpoint runs concurrently
@@ -90,7 +89,8 @@ struct CheckpointerStats {
 /// background thread.
 class Checkpointer {
  public:
-  /// All pointers must outlive the Checkpointer; `metrics` may be null.
+  /// All pointers must outlive the Checkpointer; `metrics` may be null (the
+  /// checkpointer then counts into a private registry).
   Checkpointer(Wal* wal, BufferPool* pool, TxnManager* txns,
                MetricsRegistry* metrics, CheckpointOptions options);
   ~Checkpointer();
@@ -109,7 +109,9 @@ class Checkpointer {
   /// Runs one fuzzy checkpoint synchronously on the calling thread.
   Status CheckpointNow() TENDAX_EXCLUDES(run_mu_);
 
-  CheckpointerStats stats() const TENDAX_EXCLUDES(state_mu_);
+  /// `bytes_truncated` is the Wal's total: in a Database the checkpointer
+  /// is the only caller of Wal::TruncateSegmentsBelow.
+  CheckpointerStats stats() const;
 
  private:
   void Loop();
@@ -127,15 +129,15 @@ class Checkpointer {
   mutable Mutex run_mu_{"checkpointer.run", lockorder::kRankDatabase};
   uint64_t index_ TENDAX_GUARDED_BY(run_mu_) = 0;
 
-  // Lifecycle + stats only; never held across any call out.
+  // Lifecycle only; never held across any call out.
   mutable Mutex state_mu_{"checkpointer.state", lockorder::kRankLeaf};
   CondVar cv_;
   bool stop_ TENDAX_GUARDED_BY(state_mu_) = false;
   bool started_ TENDAX_GUARDED_BY(state_mu_) = false;
-  CheckpointerStats stats_ TENDAX_GUARDED_BY(state_mu_);
   std::thread thread_;
 
-  // Registry mirrors (null without a registry).
+  // The only store of the checkpointer's counters (never null).
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
   Counter* m_completed_ = nullptr;
   Counter* m_failed_ = nullptr;
   Counter* m_pages_flushed_ = nullptr;

@@ -60,7 +60,10 @@ struct DatabaseOptions {
   std::shared_ptr<CheckpointHooks> checkpoint_hooks;
   /// Metrics registry shared by every subsystem of this database. When
   /// unset, Open creates an enabled registry; pass one constructed with
-  /// `MetricsRegistry(false)` to disable latency histograms.
+  /// `MetricsRegistry(false)` to disable latency histograms. One registry
+  /// serves one Database: the subsystems' stats accessors read its
+  /// counters, so a registry shared by two databases (or by a database and
+  /// its reopened successor) sums both into every accessor.
   std::shared_ptr<MetricsRegistry> metrics;
 };
 

@@ -216,9 +216,20 @@ class MetricsRegistry {
       TENDAX_GUARDED_BY(mu_);
 };
 
-// Null-safe helpers: every instrumented subsystem accepts a nullable
-// MetricsRegistry* and caches nullable metric pointers, so standalone unit
-// constructions pay nothing.
+/// The registry a subsystem whose accessors read its own counters reports
+/// into: `shared` when given, else a private disabled registry created in
+/// `owned`. Either way its counters and gauges are non-null and live, while
+/// a standalone subsystem's histograms stay off (no clock reads).
+inline MetricsRegistry* SharedOrOwnedRegistry(
+    MetricsRegistry* shared, std::unique_ptr<MetricsRegistry>* owned) {
+  if (shared != nullptr) return shared;
+  *owned = std::make_unique<MetricsRegistry>(/*enabled=*/false);
+  return owned->get();
+}
+
+// Null-safe helpers: subsystems that only report (and never read back)
+// accept a nullable MetricsRegistry* and cache nullable metric pointers, so
+// standalone unit constructions pay nothing.
 inline void MetricAdd(Counter* c, uint64_t delta = 1) {
   if (c != nullptr) c->Add(delta);
 }

@@ -8,13 +8,12 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk, Wal* wal,
                        MetricsRegistry* metrics)
     : capacity_(capacity), disk_(disk), wal_(wal) {
   TENDAX_CHECK(capacity_ > 0);
-  if (metrics != nullptr) {
-    m_hits_ = metrics->counter("bufferpool.hits");
-    m_misses_ = metrics->counter("bufferpool.misses");
-    m_evictions_ = metrics->counter("bufferpool.evictions");
-    m_writebacks_ = metrics->counter("bufferpool.writebacks");
-    m_miss_micros_ = metrics->histogram("bufferpool.miss_micros");
-  }
+  metrics = SharedOrOwnedRegistry(metrics, &owned_metrics_);
+  m_hits_ = metrics->counter("bufferpool.hits");
+  m_misses_ = metrics->counter("bufferpool.misses");
+  m_evictions_ = metrics->counter("bufferpool.evictions");
+  m_writebacks_ = metrics->counter("bufferpool.writebacks");
+  m_miss_micros_ = metrics->histogram("bufferpool.miss_micros");
   frames_.reserve(capacity_);
   for (size_t i = 0; i < capacity_; ++i) {
     frames_.push_back(std::make_unique<Page>());
@@ -26,15 +25,13 @@ Result<Page*> BufferPool::FetchPage(PageId id) {
   MutexLock lock(mu_);
   auto it = page_table_.find(id);
   if (it != page_table_.end()) {
-    ++stats_.hits;
-    MetricAdd(m_hits_);
+    m_hits_->Add();
     Page* page = it->second;
     ++page->pin_count_;
     Touch(id);
     return page;
   }
-  ++stats_.misses;
-  MetricAdd(m_misses_);
+  m_misses_->Add();
   // Times the whole miss path (eviction + disk read + checksum), including
   // the error exits, via RAII.
   ScopedTimer miss_timer(m_miss_micros_);
@@ -136,8 +133,12 @@ Status BufferPool::EnsureAllocatedUpTo(PageId id) {
 }
 
 BufferPoolStats BufferPool::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
+  BufferPoolStats out;
+  out.hits = m_hits_->Value();
+  out.misses = m_misses_->Value();
+  out.evictions = m_evictions_->Value();
+  out.dirty_writebacks = m_writebacks_->Value();
+  return out;
 }
 
 Result<Page*> BufferPool::GetFreeFrame() {
@@ -151,8 +152,7 @@ Result<Page*> BufferPool::GetFreeFrame() {
     Page* candidate = page_table_.at(*it);
     if (candidate->pin_count_ > 0) continue;
     TENDAX_RETURN_IF_ERROR(WriteBack(candidate));
-    ++stats_.evictions;
-    MetricAdd(m_evictions_);
+    m_evictions_->Add();
     page_table_.erase(*it);
     lru_pos_.erase(*it);
     lru_.erase(it);
@@ -172,8 +172,7 @@ Status BufferPool::WriteBack(Page* page) {
   TENDAX_RETURN_IF_ERROR(disk_->WritePage(page->id(), page->data()));
   page->dirty_ = false;
   page->rec_lsn_ = 0;
-  ++stats_.dirty_writebacks;
-  MetricAdd(m_writebacks_);
+  m_writebacks_->Add();
   return Status::OK();
 }
 

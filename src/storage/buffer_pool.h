@@ -16,7 +16,8 @@
 
 namespace tendax {
 
-/// Counters exposed for the substrate benchmarks (experiment E9).
+/// Counters exposed for the substrate benchmarks (experiment E9), read from
+/// the `bufferpool.*` registry metrics.
 struct BufferPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -31,7 +32,8 @@ struct BufferPoolStats {
 class BufferPool {
  public:
   /// `wal` may be null for WAL-less databases (volatile catalogs, tests),
-  /// and `metrics` may be null for uninstrumented standalone pools.
+  /// and `metrics` may be null for standalone pools, which then count into
+  /// a private registry.
   BufferPool(size_t capacity, DiskManager* disk, Wal* wal = nullptr,
              MetricsRegistry* metrics = nullptr);
 
@@ -81,7 +83,7 @@ class BufferPool {
   Status EnsureAllocatedUpTo(PageId id);
 
   size_t capacity() const { return capacity_; }
-  BufferPoolStats stats() const TENDAX_EXCLUDES(mu_);
+  BufferPoolStats stats() const;
 
  private:
   // Finds a reusable frame, evicting if necessary.
@@ -107,11 +109,11 @@ class BufferPool {
   std::unordered_map<PageId, std::list<PageId>::iterator> lru_pos_
       TENDAX_GUARDED_BY(mu_);
   std::vector<Page*> free_frames_ TENDAX_GUARDED_BY(mu_);
-  BufferPoolStats stats_ TENDAX_GUARDED_BY(mu_);
 
-  // Registry mirrors of stats_ (null without a registry). Hits are counted
+  // The only store of the pool's counters (never null). Hits are counted
   // but not timed — timing the hit path would cost more than the path
   // itself; only the miss path (disk read + possible eviction) is timed.
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
   Counter* m_hits_ = nullptr;
   Counter* m_misses_ = nullptr;
   Counter* m_evictions_ = nullptr;

@@ -200,20 +200,19 @@ Wal::Wal(std::shared_ptr<LogStorage> storage, GroupCommitOptions group_commit,
       segment_bytes_(segment_bytes),
       gc_options_(std::move(group_commit)),
       gc_mu_("wal.gc", lockorder::kRankWalGroup) {
-  if (metrics != nullptr) {
-    m_appends_ = metrics->counter("wal.appends");
-    m_rotations_ = metrics->counter("wal.rotations");
-    m_segments_ = metrics->gauge("wal.segments");
-    m_truncated_bytes_ = metrics->gauge("wal.truncated_bytes");
-    m_syncs_ = metrics->counter("wal.syncs");
-    m_commits_ = metrics->counter("wal.commits");
-    m_group_flushes_ = metrics->counter("wal.group_flushes");
-    m_failed_flushes_ = metrics->counter("wal.failed_flushes");
-    m_max_batch_ = metrics->gauge("wal.max_batch");
-    m_flush_micros_ = metrics->histogram("wal.flush_micros");
-    m_commit_flush_micros_ = metrics->histogram("wal.commit_flush_micros");
-    m_batch_size_ = metrics->histogram("wal.batch_size");
-  }
+  metrics = SharedOrOwnedRegistry(metrics, &owned_metrics_);
+  m_appends_ = metrics->counter("wal.appends");
+  m_rotations_ = metrics->counter("wal.rotations");
+  m_segments_ = metrics->gauge("wal.segments");
+  m_truncated_bytes_ = metrics->counter("wal.truncated_bytes");
+  m_syncs_ = metrics->counter("wal.syncs");
+  m_commits_ = metrics->counter("wal.commits");
+  m_group_flushes_ = metrics->counter("wal.group_flushes");
+  m_failed_flushes_ = metrics->counter("wal.failed_flushes");
+  m_max_batch_ = metrics->gauge("wal.max_batch");
+  m_flush_micros_ = metrics->histogram("wal.flush_micros");
+  m_commit_flush_micros_ = metrics->histogram("wal.commit_flush_micros");
+  m_batch_size_ = metrics->histogram("wal.batch_size");
   // Continue LSN numbering after any records already in the log.
   Lsn durable = 0;
   if (storage_->segmented()) {
@@ -259,7 +258,7 @@ Wal::Wal(std::shared_ptr<LogStorage> storage, GroupCommitOptions group_commit,
     next_lsn_ = next;
     flushed_lsn_ = next - 1;
     durable = flushed_lsn_;
-    MetricSet(m_segments_, static_cast<int64_t>(segment_spans_.size()));
+    m_segments_->Set(static_cast<int64_t>(segment_spans_.size()));
   } else {
     std::string buffer;
     if (storage_->ReadAll(&buffer).ok()) {
@@ -297,7 +296,7 @@ Result<Lsn> Wal::Append(LogRecord* rec) {
   PutFixed32(&pending_, static_cast<uint32_t>(payload.size()));
   PutFixed32(&pending_, Fnv1a(payload.data(), payload.size()));
   pending_.append(payload);
-  MetricAdd(m_appends_);
+  m_appends_->Add();
   return rec->lsn;
 }
 
@@ -331,8 +330,7 @@ Status Wal::FlushInternal(Lsn up_to, bool force_sync) {
   if (appended) {
     // The bytes reached storage even if the Sync failed; a retry only needs
     // to Sync again, so the batch stays out of pending_.
-    ++syncs_issued_;
-    MetricAdd(m_syncs_);
+    m_syncs_->Add();
     if (st.ok() && target > flushed_lsn_) flushed_lsn_ = target;
     if (st.ok() && segment_bytes_ > 0 && storage_->segmented() &&
         storage_->SegmentBytes(storage_->current_segment()) >=
@@ -366,8 +364,7 @@ Status Wal::CommitFlush(Lsn lsn) {
   // degrade, and both group modes — records into the histogram via RAII.
   ScopedTimer commit_timer(m_commit_flush_micros_);
   MutexLock l(gc_mu_);
-  ++gc_stats_.commits;
-  MetricAdd(m_commits_);
+  m_commits_->Add();
   if (gc_poisoned_.load(std::memory_order_relaxed)) {
     return gc_poison_status_;
   }
@@ -462,16 +459,13 @@ void Wal::GroupFlushLocked(MutexLock& l) TENDAX_NO_THREAD_SAFETY_ANALYSIS {
   const Lsn durable = flushed_lsn();
   l.Lock();
   ++gc_gen_;
-  ++gc_stats_.group_flushes;
-  if (batch > gc_stats_.max_batch) gc_stats_.max_batch = batch;
-  MetricAdd(m_group_flushes_);
-  MetricMax(m_max_batch_, static_cast<int64_t>(batch));
+  m_group_flushes_->Add();
+  m_max_batch_->SetMax(static_cast<int64_t>(batch));
   MetricRecord(m_batch_size_, batch);
   if (st.ok()) {
     if (durable > gc_durable_) gc_durable_ = durable;
   } else {
-    ++gc_stats_.failed_flushes;
-    MetricAdd(m_failed_flushes_);
+    m_failed_flushes_->Add();
     gc_fail_gen_ = gc_gen_;
     gc_fail_target_ = target;
     gc_fail_status_ = st;
@@ -546,12 +540,11 @@ Status Wal::poison_status() const {
 
 WalGroupCommitStats Wal::group_commit_stats() const {
   WalGroupCommitStats out;
-  {
-    MutexLock l(gc_mu_);
-    out = gc_stats_;
-  }
-  MutexLock l(mu_);
-  out.syncs = syncs_issued_;
+  out.commits = m_commits_->Value();
+  out.group_flushes = m_group_flushes_->Value();
+  out.failed_flushes = m_failed_flushes_->Value();
+  out.max_batch = static_cast<uint64_t>(m_max_batch_->Value());
+  out.syncs = m_syncs_->Value();
   return out;
 }
 
@@ -586,7 +579,7 @@ Status Wal::Reset() {
     segment_spans_.clear();
     segment_spans_[storage_->current_segment()] =
         SegmentSpan{next_lsn_, kInvalidLsn};
-    MetricSet(m_segments_, static_cast<int64_t>(segment_spans_.size()));
+    m_segments_->Set(static_cast<int64_t>(segment_spans_.size()));
   }
   return Status::OK();
 }
@@ -607,8 +600,8 @@ Status Wal::RotateLocked(Lsn last_lsn) {
   // Records buffered but not yet flushed (lsn > last_lsn) land in the new
   // segment, so its span opens right after the sealed one.
   segment_spans_[new_id] = SegmentSpan{last_lsn + 1, kInvalidLsn};
-  MetricAdd(m_rotations_);
-  MetricSet(m_segments_, static_cast<int64_t>(segment_spans_.size()));
+  m_rotations_->Add();
+  m_segments_->Set(static_cast<int64_t>(segment_spans_.size()));
   return Status::OK();
 }
 
@@ -639,16 +632,14 @@ Result<uint64_t> Wal::TruncateSegmentsBelow(Lsn bound) {
     uint64_t bytes = 0;
     Status st = storage_->DropSegment(it->first, &bytes);
     if (!st.ok()) {
-      MetricSet(m_segments_, static_cast<int64_t>(segment_spans_.size()));
+      m_segments_->Set(static_cast<int64_t>(segment_spans_.size()));
       return st;
     }
     freed += bytes;
     segment_spans_.erase(it);
   }
-  MetricSet(m_segments_, static_cast<int64_t>(segment_spans_.size()));
-  if (m_truncated_bytes_ != nullptr) {
-    m_truncated_bytes_->Add(static_cast<int64_t>(freed));
-  }
+  m_segments_->Set(static_cast<int64_t>(segment_spans_.size()));
+  m_truncated_bytes_->Add(freed);
   return freed;
 }
 

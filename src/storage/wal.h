@@ -257,7 +257,8 @@ struct GroupCommitOptions {
   std::shared_ptr<GroupCommitHooks> hooks;
 };
 
-/// Counters for the group-commit pipeline (all modes).
+/// Counters for the group-commit pipeline (all modes), read from the
+/// `wal.*` registry metrics.
 struct WalGroupCommitStats {
   uint64_t commits = 0;         // CommitFlush calls that joined a group
   uint64_t group_flushes = 0;   // coalesced flush attempts
@@ -280,7 +281,8 @@ class Wal {
   /// by dropping the Wal (losing `pending_`), and reopen a new Wal over the
   /// same bytes. In kFlusherThread mode the Wal owns the flusher thread:
   /// started here, drained and joined by `Shutdown()`/the destructor.
-  /// `metrics` may be null (standalone/unit use); it must outlive the Wal.
+  /// `metrics` may be null (standalone/unit use: the Wal then counts into a
+  /// private registry); it must outlive the Wal.
   /// `segment_bytes` only matters over a segmented LogStorage: once the
   /// current segment exceeds it, the next successful flush rotates to a new
   /// segment (0 disables size-based rotation; checkpoints may still rotate
@@ -326,8 +328,9 @@ class Wal {
   const GroupCommitOptions& group_commit_options() const {
     return gc_options_;
   }
-  WalGroupCommitStats group_commit_stats() const
-      TENDAX_EXCLUDES(gc_mu_, mu_);
+  WalGroupCommitStats group_commit_stats() const;
+  /// Bytes deleted by TruncateSegmentsBelow over this Wal's lifetime.
+  uint64_t truncated_bytes() const { return m_truncated_bytes_->Value(); }
 
   /// True when the configured mode batches commits and
   /// `early_lock_release` is on: the transaction layer then releases locks
@@ -405,7 +408,6 @@ class Wal {
   // A FlushInternal is in storage I/O.
   bool flush_in_flight_ TENDAX_GUARDED_BY(mu_) = false;
   CondVar flush_cv_;  // signaled when flush_in_flight_ drops
-  uint64_t syncs_issued_ TENDAX_GUARDED_BY(mu_) = 0;
 
   // --- segmentation state (meaningful only when storage_->segmented()) ---
   const uint64_t segment_bytes_;
@@ -440,7 +442,6 @@ class Wal {
   bool gc_shutdown_ TENDAX_GUARDED_BY(gc_mu_) = false;
   // Flush attempt numbering for hooks.
   uint64_t gc_flush_seq_ TENDAX_GUARDED_BY(gc_mu_) = 0;
-  WalGroupCommitStats gc_stats_ TENDAX_GUARDED_BY(gc_mu_);
   // Fail-stop latch for early lock release. gc_poison_status_ is written
   // once (under gc_mu_) before the flag is set with release order, and
   // never changes afterwards, so an acquire load of the flag on the hot
@@ -449,13 +450,13 @@ class Wal {
   Status gc_poison_status_;
   std::thread flusher_;
 
-  // Registry mirrors of the legacy stats (null when no registry was given).
-  // The structs above stay authoritative for their accessors; these feed
-  // the unified kStats snapshot.
+  // The only store of the Wal's counters (never null; histograms are null
+  // in a disabled registry).
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
   Counter* m_appends_ = nullptr;
   Counter* m_rotations_ = nullptr;
   Gauge* m_segments_ = nullptr;
-  Gauge* m_truncated_bytes_ = nullptr;
+  Counter* m_truncated_bytes_ = nullptr;
   Counter* m_syncs_ = nullptr;
   Counter* m_commits_ = nullptr;
   Counter* m_group_flushes_ = nullptr;

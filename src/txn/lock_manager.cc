@@ -63,8 +63,7 @@ Status LockManager::Acquire(TxnId txn, uint64_t resource, LockMode mode) {
   for (const Grant& g : state.grants) {
     if (g.txn == txn) {
       if (LockCovers(g.mode, mode)) {
-        ++stats_.acquisitions;
-        MetricAdd(m_acquisitions_);
+        m_acquisitions_->Add();
         return Status::OK();
       }
       target = LockSupremum(g.mode, mode);
@@ -89,8 +88,7 @@ Status LockManager::Acquire(TxnId txn, uint64_t resource, LockMode mode) {
   while (!Grantable(state, txn, target)) {
     std::vector<TxnId> blockers = Blockers(state, txn, target);
     if (WouldDeadlock(txn, blockers)) {
-      ++stats_.deadlocks;
-      MetricAdd(m_deadlocks_);
+      m_deadlocks_->Add();
       if (waited) {
         wait_for_.erase(txn.value);
         --state.waiters;
@@ -105,8 +103,7 @@ Status LockManager::Acquire(TxnId txn, uint64_t resource, LockMode mode) {
     if (!waited) {
       waited = true;
       ++state.waiters;
-      ++stats_.waits;
-      MetricAdd(m_waits_);
+      m_waits_->Add();
       wait_timer.emplace(m_wait_micros_);
     }
     if (cv_.WaitUntil(lock, deadline) == std::cv_status::timeout &&
@@ -114,14 +111,12 @@ Status LockManager::Acquire(TxnId txn, uint64_t resource, LockMode mode) {
       wait_for_.erase(txn.value);
       --state.waiters;
       if (deadline_is_request) {
-        ++stats_.deadline_exceeded;
-        MetricAdd(m_deadline_exceeded_);
+        m_deadline_exceeded_->Add();
         return Status::DeadlineExceeded(
             "request deadline expired waiting for resource " +
             std::to_string(resource));
       }
-      ++stats_.timeouts;
-      MetricAdd(m_timeouts_);
+      m_timeouts_->Add();
       return Status::Conflict("lock wait timeout on resource " +
                               std::to_string(resource));
     }
@@ -141,8 +136,7 @@ Status LockManager::Acquire(TxnId txn, uint64_t resource, LockMode mode) {
   }
   if (!upgraded) state.grants.push_back(Grant{txn, target});
   held_by_txn_[txn.value].insert(resource);
-  ++stats_.acquisitions;
-  MetricAdd(m_acquisitions_);
+  m_acquisitions_->Add();
   return Status::OK();
 }
 
@@ -177,8 +171,13 @@ size_t LockManager::LockedResourceCount() const {
 }
 
 LockManagerStats LockManager::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
+  LockManagerStats out;
+  out.acquisitions = m_acquisitions_->Value();
+  out.waits = m_waits_->Value();
+  out.deadlocks = m_deadlocks_->Value();
+  out.timeouts = m_timeouts_->Value();
+  out.deadline_exceeded = m_deadline_exceeded_->Value();
+  return out;
 }
 
 bool LockManager::Grantable(const ResourceState& state, TxnId txn,

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -44,6 +45,7 @@ constexpr uint64_t MakeResource(ResourceKind kind, uint64_t id) {
   return (static_cast<uint64_t>(kind) << 56) | (id & 0x00FF'FFFF'FFFF'FFFFULL);
 }
 
+/// Lock-manager counters, read from the `lock.*` registry metrics.
 struct LockManagerStats {
   uint64_t acquisitions = 0;
   uint64_t waits = 0;
@@ -64,20 +66,19 @@ struct LockManagerStats {
 /// Status::DeadlineExceeded.
 class LockManager {
  public:
-  /// `metrics` may be null (standalone/unit use); it must outlive the
-  /// manager.
+  /// `metrics` may be null (standalone/unit use: the manager then counts
+  /// into a private registry); it must outlive the manager.
   explicit LockManager(
       std::chrono::milliseconds timeout = std::chrono::milliseconds(2000),
       MetricsRegistry* metrics = nullptr)
       : timeout_(timeout) {
-    if (metrics != nullptr) {
-      m_acquisitions_ = metrics->counter("lock.acquisitions");
-      m_waits_ = metrics->counter("lock.waits");
-      m_deadlocks_ = metrics->counter("lock.deadlocks");
-      m_timeouts_ = metrics->counter("lock.timeouts");
-      m_deadline_exceeded_ = metrics->counter("lock.deadline_exceeded");
-      m_wait_micros_ = metrics->histogram("lock.wait_micros");
-    }
+    metrics = SharedOrOwnedRegistry(metrics, &owned_metrics_);
+    m_acquisitions_ = metrics->counter("lock.acquisitions");
+    m_waits_ = metrics->counter("lock.waits");
+    m_deadlocks_ = metrics->counter("lock.deadlocks");
+    m_timeouts_ = metrics->counter("lock.timeouts");
+    m_deadline_exceeded_ = metrics->counter("lock.deadline_exceeded");
+    m_wait_micros_ = metrics->histogram("lock.wait_micros");
   }
 
   /// Acquires (or upgrades to) `mode` on `resource` for `txn`. Blocks while
@@ -91,7 +92,7 @@ class LockManager {
   /// Number of distinct resources currently locked (for tests).
   size_t LockedResourceCount() const TENDAX_EXCLUDES(mu_);
 
-  LockManagerStats stats() const TENDAX_EXCLUDES(mu_);
+  LockManagerStats stats() const;
 
  private:
   struct Grant {
@@ -128,9 +129,9 @@ class LockManager {
   // wait-for graph: txn -> set of txns it is waiting on
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> wait_for_
       TENDAX_GUARDED_BY(mu_);
-  LockManagerStats stats_ TENDAX_GUARDED_BY(mu_);
 
-  // Registry mirrors of stats_ (null without a registry).
+  // The only store of the manager's counters (never null).
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
   Counter* m_acquisitions_ = nullptr;
   Counter* m_waits_ = nullptr;
   Counter* m_deadlocks_ = nullptr;

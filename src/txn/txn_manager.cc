@@ -7,13 +7,12 @@ namespace tendax {
 TxnManager::TxnManager(Wal* wal, LockManager* locks, Clock* clock,
                        bool sync_commit, MetricsRegistry* metrics)
     : wal_(wal), locks_(locks), clock_(clock), sync_commit_(sync_commit) {
-  if (metrics != nullptr) {
-    m_begun_ = metrics->counter("txn.begun");
-    m_committed_ = metrics->counter("txn.committed");
-    m_aborted_ = metrics->counter("txn.aborted");
-    m_snapshot_reads_ = metrics->counter("txn.snapshot_reads");
-    m_commit_micros_ = metrics->histogram("txn.commit_micros");
-  }
+  metrics = SharedOrOwnedRegistry(metrics, &owned_metrics_);
+  m_begun_ = metrics->counter("txn.begun");
+  m_committed_ = metrics->counter("txn.committed");
+  m_aborted_ = metrics->counter("txn.aborted");
+  m_snapshot_reads_ = metrics->counter("txn.snapshot_reads");
+  m_commit_micros_ = metrics->histogram("txn.commit_micros");
 }
 
 Transaction* TxnManager::Begin(UserId user, TxnMode mode) {
@@ -35,10 +34,9 @@ Transaction* TxnManager::Begin(UserId user, TxnMode mode) {
   {
     MutexLock lock(mu_);
     active_[id.value] = std::move(txn);
-    ++stats_.begun;
-    MetricAdd(m_begun_);
   }
-  if (mode == TxnMode::kSnapshotRead) MetricAdd(m_snapshot_reads_);
+  m_begun_->Add();
+  if (mode == TxnMode::kSnapshotRead) m_snapshot_reads_->Add();
   return raw;
 }
 
@@ -84,9 +82,7 @@ Status TxnManager::Commit(Transaction* txn) {
           // whatever the log retained. Finalize without undo so no locks
           // or transaction slots leak.
           Finalize(txn, TxnState::kAborted);
-          MutexLock lock(mu_);
-          ++stats_.aborted;
-          MetricAdd(m_aborted_);
+          m_aborted_->Add();
           return flushed;
         }
         // The flush may have been shared with other committers (group
@@ -106,11 +102,10 @@ Status TxnManager::Commit(Transaction* txn) {
 
   Finalize(txn, TxnState::kCommitted);
 
+  m_committed_->Add();
   std::vector<CommitListener> listeners;
   {
     MutexLock lock(mu_);
-    ++stats_.committed;
-    MetricAdd(m_committed_);
     listeners = listeners_;
   }
   for (const auto& listener : listeners) {
@@ -189,11 +184,7 @@ Status TxnManager::Abort(Transaction* txn) {
     (*it)();
   }
   Finalize(txn, TxnState::kAborted);
-  {
-    MutexLock lock(mu_);
-    ++stats_.aborted;
-    MetricAdd(m_aborted_);
-  }
+  m_aborted_->Add();
   return first_error;
 }
 
@@ -227,7 +218,7 @@ Status TxnManager::RunSnapshotRead(
   // the WAL records it never writes.
   Transaction txn(TxnId(next_txn_id_.fetch_add(1, std::memory_order_relaxed)),
                   user, clock_->NowMicros(), TxnMode::kSnapshotRead);
-  MetricAdd(m_snapshot_reads_);
+  m_snapshot_reads_->Add();
   Status st = body(&txn);
   txn.state_ = st.ok() ? TxnState::kCommitted : TxnState::kAborted;
   return st;
@@ -289,8 +280,11 @@ std::vector<CheckpointTxnEntry> TxnManager::ActiveTxnTable() const {
 }
 
 TxnManagerStats TxnManager::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
+  TxnManagerStats out;
+  out.begun = m_begun_->Value();
+  out.committed = m_committed_->Value();
+  out.aborted = m_aborted_->Value();
+  return out;
 }
 
 void TxnManager::Finalize(Transaction* txn, TxnState state) {

@@ -33,6 +33,7 @@ class ChangeApplier {
 using CommitListener =
     std::function<void(TxnId, UserId, const ChangeBatch&)>;
 
+/// Transaction counters, read from the `txn.*` registry metrics.
 struct TxnManagerStats {
   uint64_t begun = 0;
   uint64_t committed = 0;
@@ -46,7 +47,8 @@ class TxnManager {
  public:
   /// `wal` may be null for a volatile (non-durable) database. `sync_commit`
   /// controls whether commit waits for the log flush (durability) or not.
-  /// `metrics` may be null (standalone/unit use).
+  /// `metrics` may be null (standalone/unit use: the manager then counts
+  /// into a private registry).
   TxnManager(Wal* wal, LockManager* locks, Clock* clock,
              bool sync_commit = true, MetricsRegistry* metrics = nullptr);
 
@@ -95,7 +97,7 @@ class TxnManager {
   /// still walk these transactions' chains.
   std::vector<CheckpointTxnEntry> ActiveTxnTable() const TENDAX_EXCLUDES(mu_);
 
-  TxnManagerStats stats() const TENDAX_EXCLUDES(mu_);
+  TxnManagerStats stats() const;
   LockManager* lock_manager() { return locks_; }
   Clock* clock() { return clock_; }
   Wal* wal() { return wal_; }
@@ -116,9 +118,9 @@ class TxnManager {
   std::unordered_map<uint64_t, std::unique_ptr<Transaction>> active_
       TENDAX_GUARDED_BY(mu_);
   std::vector<CommitListener> listeners_ TENDAX_GUARDED_BY(mu_);
-  TxnManagerStats stats_ TENDAX_GUARDED_BY(mu_);
 
-  // Registry mirrors of stats_ (null without a registry).
+  // The only store of the manager's counters (never null).
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
   Counter* m_begun_ = nullptr;
   Counter* m_committed_ = nullptr;
   Counter* m_aborted_ = nullptr;

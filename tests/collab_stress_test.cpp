@@ -527,10 +527,8 @@ TEST(CollabStressTest, MetricsScrapesAreTornFreeAndMonotoneUnderLoad) {
   for (auto& th : scrapers) th.join();
 
   EXPECT_GT(applied.load(), 0u);
-  // After quiescing, the registry agrees with the legacy accessors.
+  // After quiescing, the registry accounts for every applied edit.
   MetricsSnapshot snap = server->metrics()->Snapshot();
-  EXPECT_EQ(snap.CounterValue("txn.committed"),
-            server->db()->txns()->stats().committed);
   EXPECT_GE(snap.CounterValue("txn.committed"), applied.load());
   EXPECT_EQ(snap.CounterValue("session.events_delivered"),
             server->sessions()->events_delivered());

@@ -1,9 +1,11 @@
 // Observability coverage: histogram bucket math and percentile estimation,
 // striped counter/gauge primitives, the checksummed snapshot codec (strict
 // rejection of truncation, corruption, unknown versions and trailing bytes),
-// ScopedTimer RAII semantics, and deterministic end-to-end assertions that
-// the registry counters exactly mirror the legacy per-subsystem stats under
-// seeded fault schedules (group commit, retries, dedup, leases, resyncs).
+// ScopedTimer RAII semantics, and deterministic end-to-end assertions of
+// exact registry counter values under seeded fault schedules (group commit,
+// retries, dedup, leases, resyncs). The registry is the only store of the
+// server-side counters; per-instance client/endpoint tallies are checked
+// against the shared registry.
 
 #include <gtest/gtest.h>
 
@@ -484,15 +486,6 @@ TEST(MetricsE2ETest, GroupCommitBatchMetricsExact) {
   ASSERT_NE(batch, nullptr);
   EXPECT_GE(batch->count - batch_records_before, 1u);
   EXPECT_EQ(batch->max, kWriters);
-
-  // The registry is a faithful mirror of the legacy accessors.
-  WalGroupCommitStats legacy = rig.db->wal()->group_commit_stats();
-  EXPECT_EQ(after.CounterValue("wal.commits"), legacy.commits);
-  EXPECT_EQ(after.CounterValue("wal.syncs"), legacy.syncs);
-  EXPECT_EQ(after.CounterValue("wal.group_flushes"), legacy.group_flushes);
-  EXPECT_EQ(after.CounterValue("wal.failed_flushes"), legacy.failed_flushes);
-  EXPECT_EQ(after.GaugeValue("wal.max_batch"),
-            static_cast<int64_t>(legacy.max_batch));
 }
 
 // Satellite (d): the commit-latency timer is RAII'd at the top of
@@ -526,11 +519,6 @@ TEST(MetricsE2ETest, FailedCommitFlushStillRecordsLatencyAndAbort) {
   const HistogramSnapshot* tc = after.FindHistogram("txn.commit_micros");
   ASSERT_NE(tc, nullptr);
   EXPECT_GE(tc->count, 1u);
-  // Mirrors stay faithful even through the failure.
-  TxnManagerStats legacy = txns->stats();
-  EXPECT_EQ(after.CounterValue("txn.begun"), legacy.begun);
-  EXPECT_EQ(after.CounterValue("txn.committed"), legacy.committed);
-  EXPECT_EQ(after.CounterValue("txn.aborted"), legacy.aborted);
 }
 
 // --- deterministic end-to-end: wire + retries ----------------------------
@@ -712,6 +700,12 @@ TEST(MetricsServerTest, DisabledMetricsStillServeCounters) {
   ASSERT_TRUE(snapshot.ok());
   EXPECT_TRUE(snapshot->histograms.empty());
   EXPECT_GT(snapshot->CounterValue("txn.committed"), 0u);
+  // The subsystem accessors read those same live counters.
+  Database* db = (*server)->db();
+  EXPECT_GT(db->txns()->stats().committed, 0u);
+  EXPECT_GT(db->locks()->stats().acquisitions, 0u);
+  EXPECT_GT(db->wal()->group_commit_stats().commits, 0u);
+  EXPECT_GT(db->buffer_pool()->stats().hits, 0u);
   // The snapshot still survives the wire codec.
   auto decoded = DecodeMetricsSnapshot(EncodeMetricsSnapshot(*snapshot));
   ASSERT_TRUE(decoded.ok());
@@ -767,8 +761,9 @@ TEST(MetricsServerTest, ResyncCounterMirrorsSessionManager) {
             (*server)->sessions()->events_delivered());
 }
 
-// Quiesced end-to-end workload: every registry mirror equals its legacy
-// accessor across all instrumented subsystems at once.
+// Quiesced end-to-end workload: the per-instance client and endpoint
+// tallies equal the shared registry's counters when only one client and
+// one endpoint report into it.
 TEST_F(MetricsWireTest, SnapshotMatchesLegacyAccessorsAfterWorkload) {
   DocumentId doc = MakeDoc(alice_, "mirror-doc", "seed text");
   RetryOptions retry;
@@ -781,26 +776,6 @@ TEST_F(MetricsWireTest, SnapshotMatchesLegacyAccessorsAfterWorkload) {
   ASSERT_TRUE(r.client->Erase(doc, 0, 2).ok());
 
   MetricsSnapshot snap = server_->metrics()->Snapshot();
-  Database* db = server_->db();
-  WalGroupCommitStats wal = db->wal()->group_commit_stats();
-  EXPECT_EQ(snap.CounterValue("wal.commits"), wal.commits);
-  EXPECT_EQ(snap.CounterValue("wal.syncs"), wal.syncs);
-  EXPECT_EQ(snap.CounterValue("wal.group_flushes"), wal.group_flushes);
-  EXPECT_EQ(snap.CounterValue("wal.failed_flushes"), wal.failed_flushes);
-  BufferPoolStats bp = db->buffer_pool()->stats();
-  EXPECT_EQ(snap.CounterValue("bufferpool.hits"), bp.hits);
-  EXPECT_EQ(snap.CounterValue("bufferpool.misses"), bp.misses);
-  EXPECT_EQ(snap.CounterValue("bufferpool.evictions"), bp.evictions);
-  EXPECT_EQ(snap.CounterValue("bufferpool.writebacks"), bp.dirty_writebacks);
-  TxnManagerStats txn = db->txns()->stats();
-  EXPECT_EQ(snap.CounterValue("txn.begun"), txn.begun);
-  EXPECT_EQ(snap.CounterValue("txn.committed"), txn.committed);
-  EXPECT_EQ(snap.CounterValue("txn.aborted"), txn.aborted);
-  LockManagerStats locks = db->locks()->stats();
-  EXPECT_EQ(snap.CounterValue("lock.acquisitions"), locks.acquisitions);
-  EXPECT_EQ(snap.CounterValue("lock.waits"), locks.waits);
-  EXPECT_EQ(snap.CounterValue("lock.deadlocks"), locks.deadlocks);
-  EXPECT_EQ(snap.CounterValue("lock.timeouts"), locks.timeouts);
   EXPECT_EQ(snap.CounterValue("client.calls"), r.client->stats().calls);
   EXPECT_EQ(snap.CounterValue("client.attempts"), r.client->stats().attempts);
   EXPECT_EQ(snap.CounterValue("wire.dedup_hits"), r.endpoint->dedup_hits());

@@ -18,11 +18,14 @@
 #   5. mvcc            ctest -L mvcc on a default build — lock-free
 #                      snapshot reads, purge-floor semantics, the seeded
 #                      snapshot-consistency harness
-#   6. clang-tidy      bug/concurrency/performance checks over src/
-#   7. sanitizers      ctest under -fsanitize=address and =undefined
-#                      (the checkpoint + overload + mvcc suites run under
-#                      both as well)
-#   8. tsan mvcc       ctest -L mvcc under -fsanitize=thread — snapshot
+#   6. observability   ctest -L observability on a default build — the
+#                      metrics registry (the only store of server-side
+#                      counters), kStats coverage, the scrape stress
+#   7. clang-tidy      bug/concurrency/performance checks over src/
+#   8. sanitizers      ctest under -fsanitize=address and =undefined
+#                      (the checkpoint + overload + mvcc + observability
+#                      suites run under both as well)
+#   9. tsan mvcc       ctest -L mvcc under -fsanitize=thread — snapshot
 #                      publication / COW / reclamation raced against the
 #                      writer storm, checkpointer, purge, and eviction
 #
@@ -93,6 +96,13 @@ stage_mvcc() {
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L mvcc
 }
 
+stage_observability() {
+  local dir="$BUILD_ROOT/checkpoint"  # reuse the default-config build
+  cmake -S "$ROOT" -B "$dir" >/dev/null &&
+  cmake --build "$dir" -j "$JOBS" &&
+  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L observability
+}
+
 stage_tsan_mvcc() {
   local dir="$BUILD_ROOT/san-thread"
   cmake -S "$ROOT" -B "$dir" -DTENDAX_SANITIZE=thread >/dev/null &&
@@ -130,6 +140,8 @@ run_stage "checkpoint (ctest -L checkpoint)" stage_checkpoint
 run_stage "overload (ctest -L overload)" stage_overload
 
 run_stage "mvcc (ctest -L mvcc)" stage_mvcc
+
+run_stage "observability (ctest -L observability)" stage_observability
 
 if have clang-tidy; then
   run_stage "clang-tidy" stage_clang_tidy
