@@ -140,7 +140,7 @@ void BM_ReadTextCached(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadTextCached)->Arg(1024)->Arg(16384)->Arg(65536);
 
-// ... vs the full linked-record chain walk (also the time-travel path).
+// ... vs the whole-chain walk, tombstones included (the time-travel path).
 void BM_ReadTextChainWalk(benchmark::State& state) {
   EditingEnv* env = EditingEnv::Get();
   DocumentId doc = env->FreshDoc(static_cast<size_t>(state.range(0)));
@@ -172,7 +172,7 @@ void BM_TimeTravelRead(benchmark::State& state) {
 }
 BENCHMARK(BM_TimeTravelRead)->Arg(1)->Arg(20)->Arg(1000000);
 
-// Opening a document rebuilds the cache from the linked records.
+// Opening a document rebuilds the cache from the records' origins.
 void BM_OpenDocument(benchmark::State& state) {
   EditingEnv* env = EditingEnv::Get();
   DocumentId doc = env->FreshDoc(static_cast<size_t>(state.range(0)));

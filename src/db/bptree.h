@@ -20,7 +20,7 @@ struct BPlusTreeStats {
 
 /// Page-based B+tree mapping `uint64 key -> uint64 value`, with duplicate
 /// keys allowed (entries are unique on the (key, value) pair, ordered
-/// lexicographically). Used for secondary indexes such as char-id -> rid.
+/// lexicographically). Used for secondary indexes such as doc-id -> char rid.
 ///
 /// Index pages are *not* WAL-logged: indexes are derived data and are
 /// rebuilt from their base tables when a database is opened or recovered

@@ -157,12 +157,18 @@ Result<HeapTable*> Database::CreateTable(const std::string& name,
 
 Result<HeapTable*> Database::EnsureTable(const std::string& name,
                                          const Schema& schema) {
-  auto existing = catalog_->GetTable(name);
-  if (existing.ok()) return existing;
-  auto created = CreateTable(name, schema);
-  if (created.ok()) return created;
-  if (created.status().IsAlreadyExists()) return catalog_->GetTable(name);
-  return created;
+  auto table = catalog_->GetTable(name);
+  if (!table.ok()) table = CreateTable(name, schema);
+  if (table.status().IsAlreadyExists()) table = catalog_->GetTable(name);
+  if (!table.ok()) return table;
+  // Rows are decoded by column position: a table stored under another
+  // layout (an older file format) would be read as garbage.
+  if ((*table)->schema().ToString() != schema.ToString()) {
+    return Status::FailedPrecondition(
+        "table '" + name + "' is stored with schema " +
+        (*table)->schema().ToString() + ", expected " + schema.ToString());
+  }
+  return table;
 }
 
 Result<HeapTable*> Database::GetTable(const std::string& name) const {

@@ -84,6 +84,7 @@ class Database : public ChangeApplier {
   Result<HeapTable*> CreateTable(const std::string& name,
                                  const Schema& schema);
   /// Creates the table if it does not exist yet; returns it either way.
+  /// kFailedPrecondition if it exists with other column names or types.
   Result<HeapTable*> EnsureTable(const std::string& name,
                                  const Schema& schema);
   Result<HeapTable*> GetTable(const std::string& name) const;

@@ -85,6 +85,11 @@ void BufferPool::Unpin(Page* page, bool dirty) {
   if (dirty) MarkDirtyLocked(page);
 }
 
+void BufferPool::MarkDirty(Page* page) {
+  MutexLock lock(mu_);
+  MarkDirtyLocked(page);
+}
+
 void BufferPool::MarkDirtyLocked(Page* page) {
   if (page->dirty_) return;
   page->dirty_ = true;

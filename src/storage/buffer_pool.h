@@ -48,6 +48,9 @@ class BufferPool {
 
   /// Releases one pin; `dirty` marks the page as modified.
   void Unpin(Page* page, bool dirty) TENDAX_EXCLUDES(mu_);
+  /// Marks a pinned page modified. The pool stamps its recLSN from the
+  /// page LSN, so call this under the latch that orders LSN writes.
+  void MarkDirty(Page* page) TENDAX_EXCLUDES(mu_);
 
   /// Writes the page back if dirty (page may stay cached).
   Status FlushPage(PageId id) TENDAX_EXCLUDES(mu_);
@@ -136,10 +139,8 @@ class PageGuard {
       Release();
       pool_ = other.pool_;
       page_ = other.page_;
-      dirty_ = other.dirty_;
       other.pool_ = nullptr;
       other.page_ = nullptr;
-      other.dirty_ = false;
     }
     return *this;
   }
@@ -148,21 +149,20 @@ class PageGuard {
   Page* operator->() { return page_; }
   explicit operator bool() const { return page_ != nullptr; }
 
-  void MarkDirty() { dirty_ = true; }
+  /// Marks the page dirty now, while the writer still holds the page latch.
+  void MarkDirty() { pool_->MarkDirty(page_); }
 
   void Release() {
     if (pool_ != nullptr && page_ != nullptr) {
-      pool_->Unpin(page_, dirty_);
+      pool_->Unpin(page_, false);
     }
     pool_ = nullptr;
     page_ = nullptr;
-    dirty_ = false;
   }
 
  private:
   BufferPool* pool_ = nullptr;
   Page* page_ = nullptr;
-  bool dirty_ = false;
 };
 
 }  // namespace tendax

@@ -620,6 +620,7 @@ Result<uint64_t> Wal::TruncateSegmentsBelow(Lsn bound) {
   if (!storage_->segmented() || bound <= 1) return uint64_t{0};
   MutexLock lock(mu_);
   uint64_t freed = 0;
+  Status st = Status::OK();
   // Oldest-first: a crash mid-sweep then leaves a contiguous suffix of the
   // log, which is the shape every reader (recovery, the span rebuild in
   // the constructor) is built to trust.
@@ -630,16 +631,15 @@ Result<uint64_t> Wal::TruncateSegmentsBelow(Lsn bound) {
     // An open/unknown span, or one reaching into [bound, ...), must stay.
     if (span.last == kInvalidLsn || span.last >= bound) break;
     uint64_t bytes = 0;
-    Status st = storage_->DropSegment(it->first, &bytes);
-    if (!st.ok()) {
-      m_segments_->Set(static_cast<int64_t>(segment_spans_.size()));
-      return st;
-    }
+    st = storage_->DropSegment(it->first, &bytes);
+    if (!st.ok()) break;
     freed += bytes;
     segment_spans_.erase(it);
   }
+  // Segments dropped before a failed drop are gone all the same: count them.
   m_segments_->Set(static_cast<int64_t>(segment_spans_.size()));
   m_truncated_bytes_->Add(freed);
+  if (!st.ok()) return st;
   return freed;
 }
 

@@ -154,7 +154,7 @@ std::string CharTree::Text() const {
 }
 
 std::string CharTree::TextRange(size_t pos, size_t len) const {
-  assert(pos + len <= live_size());
+  assert(len <= live_size() && pos <= live_size() - len);
   std::string out;
   out.reserve(len);
   ForLiveRange(root_.node.get(), &pos, &len,
@@ -163,7 +163,7 @@ std::string CharTree::TextRange(size_t pos, size_t len) const {
 }
 
 std::vector<SnapChar> CharTree::LiveRange(size_t pos, size_t len) const {
-  assert(pos + len <= live_size());
+  assert(len <= live_size() && pos <= live_size() - len);
   std::vector<SnapChar> out;
   out.reserve(len);
   ForLiveRange(root_.node.get(), &pos, &len,
@@ -179,6 +179,13 @@ std::string CharTree::TextAtVersion(Version version) const {
       AppendUtf8(&out, c.cp);
     }
   });
+  return out;
+}
+
+std::vector<SnapChar> CharTree::Chars() const {
+  std::vector<SnapChar> out;
+  out.reserve(chain_size());
+  ForEachChar(root_.node.get(), [&](const SnapChar& c) { out.push_back(c); });
   return out;
 }
 
@@ -212,7 +219,7 @@ CharListSnapshot::~CharListSnapshot() {
 }
 
 Result<std::string> CharListSnapshot::TextRange(size_t pos, size_t len) const {
-  if (pos + len > info_.length) {
+  if (len > info_.length || pos > info_.length - len) {
     return Status::OutOfRange("text range beyond document length");
   }
   return tree_.TextRange(pos, len);
@@ -231,7 +238,7 @@ Result<std::string> CharListSnapshot::TextAtVersion(Version version) const {
 
 Result<std::vector<SnapChar>> CharListSnapshot::LiveRange(size_t pos,
                                                           size_t len) const {
-  if (pos + len > info_.length) {
+  if (len > info_.length || pos > info_.length - len) {
     return Status::OutOfRange("range beyond document length");
   }
   return tree_.LiveRange(pos, len);
@@ -435,7 +442,7 @@ void VersionedCharList::TombstoneIn(ChainRef& ref, size_t* skip,
 
 void VersionedCharList::TombstoneRange(size_t live_pos, size_t len,
                                        Version deleted) {
-  assert(live_pos + len <= live_size());
+  assert(len <= live_size() && live_pos <= live_size() - len);
   if (len == 0) return;
   TombstoneIn(root_, &live_pos, &len, deleted);
   assert(len == 0);

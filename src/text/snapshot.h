@@ -40,8 +40,9 @@ struct CharSource {
 
 /// One character of the version-stamped chain as captured by the MVCC read
 /// path: identity, code point, version interval, copy-paste provenance.
-/// Author / timestamp / deleted_by metadata stays record-only — lineage
-/// reads (`CharAt`, `RangeInfo`, `FullChain`) keep the locked record path.
+/// Author / timestamp / deleted_by / origin metadata stays record-only —
+/// lineage reads (`CharAt`, `RangeInfo`, `FullChain`) keep the locked record
+/// path.
 struct SnapChar {
   uint64_t id = 0;
   Version inserted = 0;
@@ -122,6 +123,8 @@ class CharTree {
   /// Text as of `version`: chars with inserted <= version and not yet
   /// deleted at it.
   std::string TextAtVersion(Version version) const;
+  /// Every char in chain order, tombstones included.
+  std::vector<SnapChar> Chars() const;
 
  protected:
   ChainRef root_;
@@ -236,8 +239,8 @@ class VersionedCharList : public CharTree {
   /// included), bulk-loading a new tree.
   void Rebuild(std::vector<SnapChar> chain);
   /// Inserts `run` directly after the live character at live_pos-1 (at the
-  /// physical head for live_pos == 0) — mirroring how the record layer
-  /// links new characters into the chain.
+  /// chain's start for live_pos == 0) — where the record layer's origin
+  /// order puts new characters.
   void InsertRun(size_t live_pos, const std::vector<SnapChar>& run);
   /// Tombstones the live characters [live_pos, live_pos+len).
   void TombstoneRange(size_t live_pos, size_t len, Version deleted);

@@ -1,5 +1,7 @@
 #include "text/text_store.h"
 
+#include <algorithm>
+
 #include "text/utf8.h"
 #include "util/logging.h"
 
@@ -12,8 +14,7 @@ enum CharCol : size_t {
   kCcId = 0,
   kCcDoc,
   kCcCp,
-  kCcPrev,
-  kCcNext,
+  kCcOrigin,
   kCcAuthor,
   kCcCreated,
   kCcInsVer,
@@ -32,8 +33,6 @@ enum DocCol : size_t {
   kDcCreated,
   kDcState,
   kDcVersion,
-  kDcHead,
-  kDcTail,
   kDcLive,
   kDcPurgeFloor,
 };
@@ -42,8 +41,7 @@ Schema CharsSchema() {
   return Schema({{"char_id", ColumnType::kUint64},
                  {"doc_id", ColumnType::kUint64},
                  {"codepoint", ColumnType::kUint64},
-                 {"prev", ColumnType::kUint64},
-                 {"next", ColumnType::kUint64},
+                 {"origin", ColumnType::kUint64},
                  {"author", ColumnType::kUint64},
                  {"created_at", ColumnType::kUint64},
                  {"inserted_version", ColumnType::kUint64},
@@ -61,8 +59,6 @@ Schema DocsSchema() {
                  {"created_at", ColumnType::kUint64},
                  {"state", ColumnType::kString},
                  {"version", ColumnType::kUint64},
-                 {"head", ColumnType::kUint64},
-                 {"tail", ColumnType::kUint64},
                  {"live_count", ColumnType::kUint64},
                  {"purge_floor", ColumnType::kUint64}});
 }
@@ -120,6 +116,76 @@ Status PurgeFloorError(DocumentId doc, Version version, Version floor) {
       ": its tombstones were physically purged");
 }
 
+/// Adds (`add`) or removes the index entry (key, packed rid), undone if
+/// `txn` rolls back: indexes are not logged.
+Status IndexEntry(Transaction* txn, BPlusTree* index, uint64_t key,
+                  uint64_t packed, bool add) {
+  TENDAX_RETURN_IF_ERROR(add ? index->Insert(key, packed)
+                             : index->Delete(key, packed));
+  txn->AddRollbackAction([=] {
+    (void)(add ? index->Delete(key, packed) : index->Insert(key, packed));
+  });
+  return Status::OK();
+}
+
+/// Updates the record at `rid`; if the update moved it, re-points its entry
+/// under `key` in `index`. Returns where the record now is.
+Result<RecordId> UpdateIndexed(Transaction* txn, HeapTable* table,
+                               BPlusTree* index, uint64_t key, RecordId rid,
+                               const Record& rec) {
+  auto moved = table->Update(txn, rid, rec);
+  if (!moved.ok() || moved->Pack() == rid.Pack()) return moved;
+  TENDAX_RETURN_IF_ERROR(IndexEntry(txn, index, key, rid.Pack(), false));
+  TENDAX_RETURN_IF_ERROR(IndexEntry(txn, index, key, moved->Pack(), true));
+  return moved;
+}
+
+/// The one rule for chain order. Each char record stores its origin: the
+/// char it was inserted directly after, 0 for the document start. The
+/// chain is a preorder walk of the tree those origins form, each node's
+/// children in descending id. Ids are allocated under the document X lock,
+/// so a new char has the largest id in its document and the walk puts it
+/// directly after its origin, where the insert put it. Returns the indexes
+/// of `chars` in chain order (`origins[i]` belongs to `chars[i]`); a
+/// duplicate id, an origin outside the document or a cycle is kCorruption.
+Result<std::vector<size_t>> OriginOrder(const std::vector<SnapChar>& chars,
+                                        const std::vector<uint64_t>& origins) {
+  const size_t n = chars.size();
+  auto id = [&](size_t i) { return chars[i].id; };
+  std::vector<size_t> by_id(n);
+  for (size_t i = 0; i < n; ++i) by_id[i] = i;
+  std::sort(by_id.begin(), by_id.end(),
+            [&](size_t a, size_t b) { return id(a) > id(b); });
+  std::vector<std::vector<size_t>> kids(n + 1);  // kids[n]: the start's
+  for (size_t k = 0; k < n; ++k) {
+    const size_t i = by_id[k];
+    if (k > 0 && id(by_id[k - 1]) == id(i)) {
+      return Status::Corruption("two records of char " + std::to_string(id(i)));
+    }
+    auto it = std::lower_bound(
+        by_id.begin(), by_id.end(), origins[i],
+        [&](size_t j, uint64_t origin) { return id(j) > origin; });
+    if (origins[i] != 0 && (it == by_id.end() || id(*it) != origins[i])) {
+      return Status::Corruption("char " + std::to_string(id(i)) +
+                                "'s origin " + std::to_string(origins[i]) +
+                                " is not in the document");
+    }
+    kids[origins[i] == 0 ? n : *it].push_back(i);
+  }
+  std::vector<size_t> order, stack(kids[n].rbegin(), kids[n].rend());
+  order.reserve(n);
+  while (!stack.empty()) {
+    const size_t i = stack.back();
+    stack.pop_back();
+    order.push_back(i);
+    stack.insert(stack.end(), kids[i].rbegin(), kids[i].rend());
+  }
+  if (order.size() != n) {
+    return Status::Corruption("an origin cycle cuts chars off the start");
+  }
+  return order;
+}
+
 }  // namespace
 
 TextStore::TextStore(Database* db)
@@ -139,9 +205,9 @@ Status TextStore::Init() {
   if (!docs.ok()) return docs.status();
   docs_table_ = *docs;
 
-  auto char_index = db_->CreateIndex("tendax_char_rid");
-  if (!char_index.ok()) return char_index.status();
-  char_index_ = *char_index;
+  auto doc_chars = db_->CreateIndex("tendax_doc_chars");
+  if (!doc_chars.ok()) return doc_chars.status();
+  doc_chars_ = *doc_chars;
   auto doc_index = db_->CreateIndex("tendax_doc_rid");
   if (!doc_index.ok()) return doc_index.status();
   doc_index_ = *doc_index;
@@ -151,9 +217,8 @@ Status TextStore::Init() {
   Status index_status = Status::OK();
   TENDAX_RETURN_IF_ERROR(
       chars_table_->Scan([&](RecordId rid, const Record& rec) {
-        uint64_t id = rec.GetUint(kCcId);
-        max_char = std::max(max_char, id);
-        Status st = char_index_->Insert(id, rid.Pack());
+        max_char = std::max(max_char, rec.GetUint(kCcId));
+        Status st = doc_chars_->Insert(rec.GetUint(kCcDoc), rid.Pack());
         if (!st.ok()) {
           index_status = st;
           return false;
@@ -195,17 +260,11 @@ Result<DocumentId> TextStore::CreateDocument(UserId user,
         txn->id(), MakeResource(ResourceKind::kDocument, doc.value),
         LockMode::kX));
     Record rec({doc.value, name, user.value, uint64_t{now},
-                std::string("draft"), uint64_t{0}, uint64_t{0}, uint64_t{0},
-                uint64_t{0}, uint64_t{0}});
+                std::string("draft"), uint64_t{0}, uint64_t{0}, uint64_t{0}});
     auto rid = docs_table_->Insert(txn, rec);
     if (!rid.ok()) return rid.status();
-    TENDAX_RETURN_IF_ERROR(doc_index_->Insert(doc.value, rid->Pack()));
-    {
-      BPlusTree* index = doc_index_;
-      uint64_t id = doc.value, packed = rid->Pack();
-      txn->AddRollbackAction(
-          [index, id, packed] { (void)index->Delete(id, packed); });
-    }
+    TENDAX_RETURN_IF_ERROR(
+        IndexEntry(txn, doc_index_, doc.value, rid->Pack(), true));
     ChangeEvent ev;
     ev.kind = ChangeKind::kDocumentCreated;
     ev.doc = doc;
@@ -253,39 +312,52 @@ Status TextStore::LoadHandle(DocHandle* handle, DocumentId doc) {
   handle->state = rec->GetString(kDcState);
   handle->version = rec->GetUint(kDcVersion);
   handle->purge_floor = rec->GetUint(kDcPurgeFloor);
-  handle->head = rec->GetUint(kDcHead);
-  handle->tail = rec->GetUint(kDcTail);
-  handle->chain.Clear();
+  handle->loaded = false;
   handle->char_rids.clear();
-
-  // Walk the linked character records (including tombstones) to rebuild the
-  // in-memory chain cache.
-  std::vector<SnapChar> chain;
-  uint64_t current = handle->head;
-  while (current != 0) {
-    auto packed = char_index_->GetFirst(current);
-    if (!packed.ok()) {
-      return Status::Corruption("char chain references unknown char " +
-                                std::to_string(current));
-    }
-    RecordId rid = RecordId::Unpack(*packed);
-    auto crec = chars_table_->Get(rid);
-    if (!crec.ok()) return crec.status();
-    handle->char_rids[current] = rid;
-    SnapChar sc;
-    sc.id = current;
-    sc.cp = static_cast<uint32_t>(crec->GetUint(kCcCp));
-    sc.inserted = crec->GetUint(kCcInsVer);
-    sc.deleted = crec->GetUint(kCcDelVer);
-    sc.src = SourceOf(crec->GetUint(kCcSrcDoc), crec->GetUint(kCcSrcChar),
-                      crec->GetString(kCcSrcExt),
-                      chain.empty() ? nullptr : chain.back().src);
-    chain.push_back(std::move(sc));
-    current = crec->GetUint(kCcNext);
+  auto stored = ReadChain(doc);
+  if (!stored.ok()) return stored.status();
+  for (size_t i = 0; i < stored->chars.size(); ++i) {
+    handle->char_rids[stored->chars[i].id] = stored->rids[i];
   }
-  handle->chain.Rebuild(std::move(chain));
+  handle->chain.Rebuild(std::move(stored->chars));
   handle->loaded = true;
   return Status::OK();
+}
+
+Result<TextStore::StoredChain> TextStore::ReadChain(DocumentId doc) {
+  std::vector<RecordId> rids;
+  TENDAX_RETURN_IF_ERROR(doc_chars_->ScanRange(
+      doc.value, doc.value, [&](uint64_t, uint64_t packed) {
+        rids.push_back(RecordId::Unpack(packed));
+        return true;
+      }));
+  std::vector<SnapChar> chars(rids.size());
+  std::vector<uint64_t> origins(rids.size());
+  for (size_t i = 0; i < rids.size(); ++i) {
+    auto rec = chars_table_->Get(rids[i]);
+    if (!rec.ok()) return rec.status();
+    SnapChar& c = chars[i];
+    c.id = rec->GetUint(kCcId);
+    origins[i] = rec->GetUint(kCcOrigin);
+    c.cp = static_cast<uint32_t>(rec->GetUint(kCcCp));
+    c.inserted = rec->GetUint(kCcInsVer);
+    c.deleted = rec->GetUint(kCcDelVer);
+    // Records of one paste sit next to each other in the heap, so they
+    // share one provenance copy here as they do in the chain.
+    c.src = SourceOf(rec->GetUint(kCcSrcDoc), rec->GetUint(kCcSrcChar),
+                     rec->GetString(kCcSrcExt),
+                     i > 0 ? chars[i - 1].src : nullptr);
+  }
+  auto order = OriginOrder(chars, origins);
+  if (!order.ok()) return order.status();
+  StoredChain out;
+  out.chars.reserve(order->size());
+  out.rids.reserve(order->size());
+  for (size_t i : *order) {
+    out.chars.push_back(std::move(chars[i]));
+    out.rids.push_back(rids[i]);
+  }
+  return out;
 }
 
 Status TextStore::EnsureFreshBase(DocHandle* handle, DocumentId doc) {
@@ -381,6 +453,17 @@ Status TextStore::CheckIntegrity() {
           if (rec->GetUint(kDcLive) != handle->chain.live_size()) {
             return Status::Corruption("chain live count != document record's");
           }
+          auto stored = ReadChain(doc);
+          if (!stored.ok()) return stored.status();
+          const std::vector<SnapChar> cached = handle->chain.Chars();
+          auto same = [](const SnapChar& a, const SnapChar& b) {
+            return a.id == b.id && a.cp == b.cp && a.inserted == b.inserted &&
+                   a.deleted == b.deleted;
+          };
+          if (!std::equal(cached.begin(), cached.end(), stored->chars.begin(),
+                          stored->chars.end(), same)) {
+            return Status::Corruption("chain differs from the records' order");
+          }
           return Status::OK();
         });
     if (!st.ok()) {
@@ -391,7 +474,7 @@ Status TextStore::CheckIntegrity() {
   return Status::OK();
 }
 
-SnapshotRef TextStore::PrepareLockedSnapshot(DocHandle* handle) {
+DocumentInfo TextStore::InfoOf(DocHandle* handle) {
   DocumentInfo info;
   info.id = handle->id;
   info.name = handle->name;
@@ -400,8 +483,12 @@ SnapshotRef TextStore::PrepareLockedSnapshot(DocHandle* handle) {
   info.state = handle->state;
   info.version = handle->version;
   info.length = handle->chain.live_size();
+  return info;
+}
+
+SnapshotRef TextStore::PrepareLockedSnapshot(DocHandle* handle) {
   return std::make_shared<CharListSnapshot>(
-      std::move(info), handle->purge_floor, handle->chain.Freeze(), tracker_);
+      InfoOf(handle), handle->purge_floor, handle->chain.Freeze(), tracker_);
 }
 
 void TextStore::Publish(DocHandle* handle, const SnapshotRef& snap) {
@@ -526,43 +613,22 @@ Status TextStore::UpdateCharRecord(Transaction* txn, DocHandle* handle,
     return Status::NotFound("char " + std::to_string(char_id) +
                             " not in document");
   }
-  RecordId old_rid = it->second;
-  auto new_rid = chars_table_->Update(txn, old_rid, record);
-  if (!new_rid.ok()) return new_rid.status();
-  if (new_rid->Pack() != old_rid.Pack()) {
-    it->second = *new_rid;
-    TENDAX_RETURN_IF_ERROR(char_index_->Delete(char_id, old_rid.Pack()));
-    TENDAX_RETURN_IF_ERROR(char_index_->Insert(char_id, new_rid->Pack()));
-    BPlusTree* index = char_index_;
-    uint64_t moved_to = new_rid->Pack(), moved_from = old_rid.Pack();
-    txn->AddRollbackAction([index, char_id, moved_to, moved_from] {
-      (void)index->Delete(char_id, moved_to);
-      (void)index->Insert(char_id, moved_from);
-    });
-  }
+  auto rid = UpdateIndexed(txn, chars_table_, doc_chars_, handle->id.value,
+                           it->second, record);
+  if (!rid.ok()) return rid.status();
+  it->second = *rid;
   return Status::OK();
 }
 
 Status TextStore::WriteDocRecord(Transaction* txn, DocHandle* handle) {
   Record rec({handle->id.value, handle->name, handle->creator.value,
               uint64_t{handle->created}, handle->state,
-              uint64_t{handle->version}, uint64_t{handle->head},
-              uint64_t{handle->tail}, uint64_t{handle->chain.live_size()},
+              uint64_t{handle->version}, uint64_t{handle->chain.live_size()},
               uint64_t{handle->purge_floor}});
-  auto new_rid = docs_table_->Update(txn, handle->doc_rid, rec);
-  if (!new_rid.ok()) return new_rid.status();
-  if (new_rid->Pack() != handle->doc_rid.Pack()) {
-    uint64_t moved_from = handle->doc_rid.Pack(), moved_to = new_rid->Pack();
-    TENDAX_RETURN_IF_ERROR(doc_index_->Delete(handle->id.value, moved_from));
-    TENDAX_RETURN_IF_ERROR(doc_index_->Insert(handle->id.value, moved_to));
-    handle->doc_rid = *new_rid;
-    BPlusTree* index = doc_index_;
-    uint64_t doc_id = handle->id.value;
-    txn->AddRollbackAction([index, doc_id, moved_to, moved_from] {
-      (void)index->Delete(doc_id, moved_to);
-      (void)index->Insert(doc_id, moved_from);
-    });
-  }
+  auto rid = UpdateIndexed(txn, docs_table_, doc_index_, handle->id.value,
+                           handle->doc_rid, rec);
+  if (!rid.ok()) return rid.status();
+  handle->doc_rid = *rid;
   return Status::OK();
 }
 
@@ -639,71 +705,29 @@ Status TextStore::InsertCharsAt(Transaction* txn, DocHandle* handle,
   if (chars.empty()) return Status::OK();
   const Timestamp now = db_->clock()->NowMicros();
 
-  // Physical neighbors: insert directly after the live char at pos-1 (or at
-  // the physical head for pos == 0).
-  uint64_t left_id = pos > 0 ? handle->chain.LiveAt(pos - 1).id : 0;
-  uint64_t right_id;
-  Record left_rec;
-  if (left_id != 0) {
-    auto rec = ReadCharRecord(handle, left_id);
-    if (!rec.ok()) return rec.status();
-    left_rec = *rec;
-    right_id = left_rec.GetUint(kCcNext);
-  } else {
-    right_id = handle->head;
-  }
-
-  // Allocate ids and insert the new char records, chained together.
-  std::vector<uint64_t> ids(chars.size());
-  for (size_t i = 0; i < chars.size(); ++i) {
-    ids[i] = next_char_id_.fetch_add(1);
-  }
+  // The run goes directly after the live char at pos-1 (the document start
+  // for pos == 0): that char is the first new char's origin, and each next
+  // one's origin is the char before it.
+  uint64_t origin = pos > 0 ? handle->chain.LiveAt(pos - 1).id : 0;
   std::vector<SnapChar> run;
   run.reserve(chars.size());
-  for (size_t i = 0; i < chars.size(); ++i) {
-    uint64_t prev = i == 0 ? left_id : ids[i - 1];
-    uint64_t next = i + 1 < chars.size() ? ids[i + 1] : right_id;
-    Record rec({ids[i], handle->id.value, uint64_t{chars[i].cp}, prev, next,
-                user.value, uint64_t{now}, uint64_t{new_version}, uint64_t{0},
-                uint64_t{0}, chars[i].src_doc.value, chars[i].src_char.value,
-                chars[i].src_external});
+  for (const PasteChar& pc : chars) {
+    const uint64_t id = next_char_id_.fetch_add(1);
+    Record rec({id, handle->id.value, uint64_t{pc.cp}, origin, user.value,
+                uint64_t{now}, uint64_t{new_version}, uint64_t{0}, uint64_t{0},
+                pc.src_doc.value, pc.src_char.value, pc.src_external});
     auto rid = chars_table_->Insert(txn, rec);
     if (!rid.ok()) return rid.status();
-    handle->char_rids[ids[i]] = *rid;
-    TENDAX_RETURN_IF_ERROR(char_index_->Insert(ids[i], rid->Pack()));
-    {
-      BPlusTree* index = char_index_;
-      uint64_t id = ids[i], packed = rid->Pack();
-      txn->AddRollbackAction(
-          [index, id, packed] { (void)index->Delete(id, packed); });
-    }
-    SnapChar sc;
-    sc.id = ids[i];
-    sc.cp = chars[i].cp;
-    sc.inserted = new_version;
-    sc.src = SourceOf(chars[i].src_doc.value, chars[i].src_char.value,
-                      chars[i].src_external,
-                      run.empty() ? nullptr : run.back().src);
-    run.push_back(std::move(sc));
-    result->chars.push_back(CharId(ids[i]));
+    handle->char_rids[id] = *rid;
+    TENDAX_RETURN_IF_ERROR(
+        IndexEntry(txn, doc_chars_, handle->id.value, rid->Pack(), true));
+    run.push_back(SnapChar{id, new_version, 0, pc.cp,
+                           SourceOf(pc.src_doc.value, pc.src_char.value,
+                                    pc.src_external,
+                                    run.empty() ? nullptr : run.back().src)});
+    result->chars.push_back(CharId(id));
+    origin = id;
   }
-
-  // Fix the neighbors' links (and the document head/tail).
-  if (left_id != 0) {
-    left_rec.value(kCcNext) = ids.front();
-    TENDAX_RETURN_IF_ERROR(UpdateCharRecord(txn, handle, left_id, left_rec));
-  } else {
-    handle->head = ids.front();
-  }
-  if (right_id != 0) {
-    auto rec = ReadCharRecord(handle, right_id);
-    if (!rec.ok()) return rec.status();
-    rec->value(kCcPrev) = ids.back();
-    TENDAX_RETURN_IF_ERROR(UpdateCharRecord(txn, handle, right_id, *rec));
-  } else {
-    handle->tail = ids.back();
-  }
-
   handle->chain.InsertRun(pos, run);
   return Status::OK();
 }
@@ -711,69 +735,54 @@ Status TextStore::InsertCharsAt(Transaction* txn, DocHandle* handle,
 Result<EditResult> TextStore::InsertText(UserId user, DocumentId doc,
                                          size_t pos, const std::string& utf8,
                                          const std::string& external_source) {
-  std::vector<uint32_t> cps = DecodeUtf8(utf8);
-  std::vector<PasteChar> chars(cps.size());
-  for (size_t i = 0; i < cps.size(); ++i) {
-    chars[i].cp = cps[i];
-    chars[i].src_external = external_source;
+  std::vector<PasteChar> chars;
+  for (uint32_t cp : DecodeUtf8(utf8)) {
+    chars.push_back(PasteChar{cp, {}, {}, external_source});
   }
-  auto result = RunEdit(
-      user, doc, ChangeKind::kTextInserted,
-      [&](Transaction* txn, DocHandle* h, EditResult* out) {
-        return InsertCharsAt(txn, h, user, pos, chars, out->version, out);
-      });
-  return result;
+  return Paste(user, doc, pos, chars);
 }
 
 Result<std::vector<PasteChar>> TextStore::Copy(UserId user, DocumentId doc,
                                                size_t pos, size_t len) {
+  std::vector<SnapChar> range;
+  Status st;
   if (snapshots_enabled_.load(std::memory_order_relaxed)) {
-    auto acquired = AcquireSnapshot(doc);
-    if (!acquired.ok()) return acquired.status();
-    SnapshotRef snap = *acquired;
-    std::vector<PasteChar> out;
+    auto snap = AcquireSnapshot(doc);
+    if (!snap.ok()) return snap.status();
     // The snapshot is immutable, so no locks are needed for stability; the
     // snapshot-read transaction keeps the op inside the txn framework
     // (accounting, uniform call shape) without ever blocking on a writer.
-    Status st = db_->txns()->RunSnapshotRead(
-        user, [&](Transaction*) -> Status {
-          if (pos + len > snap->length()) {
-            return Status::OutOfRange("copy range beyond document length");
-          }
-          auto range = snap->LiveRange(pos, len);
-          if (!range.ok()) return range.status();
-          out.reserve(range->size());
-          for (const SnapChar& c : *range) out.push_back(CopyOf(c, doc));
-          return Status::OK();
-        });
-    if (!st.ok()) return st;
-    return out;
+    // LiveRange checks the range.
+    st = db_->txns()->RunSnapshotRead(user, [&](Transaction*) -> Status {
+      auto live = (*snap)->LiveRange(pos, len);
+      if (!live.ok()) return live.status();
+      range = std::move(*live);
+      return Status::OK();
+    });
+  } else {
+    // Legacy (snapshots disabled): shared lock + handle mutex.
+    auto handle = Handle(doc);
+    if (!handle.ok()) return handle.status();
+    DocHandle* h = handle->get();
+    st = db_->txns()->RunInTxn(user, [&](Transaction* txn) -> Status {
+      // Shared lock: copying reads a stable snapshot of the source range.
+      TENDAX_RETURN_IF_ERROR(db_->locks()->Acquire(
+          txn->id(), MakeResource(ResourceKind::kDocument, doc.value),
+          LockMode::kS));
+      MutexLock lock(h->mu);
+      if (!h->loaded) TENDAX_RETURN_IF_ERROR(LoadHandle(h, doc));
+      const size_t size = h->chain.live_size();
+      if (len > size || pos > size - len) {
+        return Status::OutOfRange("copy range beyond document length");
+      }
+      range = h->chain.LiveRange(pos, len);
+      return Status::OK();
+    });
   }
-
-  // Legacy (snapshots disabled): shared lock + handle mutex.
-  auto handle = Handle(doc);
-  if (!handle.ok()) return handle.status();
-  DocHandle* h = handle->get();
-
-  std::vector<PasteChar> out;
-  Status st = db_->txns()->RunInTxn(user, [&](Transaction* txn) -> Status {
-    // Shared lock: copying reads a stable snapshot of the source range.
-    TENDAX_RETURN_IF_ERROR(db_->locks()->Acquire(
-        txn->id(), MakeResource(ResourceKind::kDocument, doc.value),
-        LockMode::kS));
-    MutexLock lock(h->mu);
-    if (!h->loaded) TENDAX_RETURN_IF_ERROR(LoadHandle(h, doc));
-    if (pos + len > h->chain.live_size()) {
-      return Status::OutOfRange("copy range beyond document length");
-    }
-    out.clear();
-    out.reserve(len);
-    for (const SnapChar& c : h->chain.LiveRange(pos, len)) {
-      out.push_back(CopyOf(c, doc));
-    }
-    return Status::OK();
-  });
   if (!st.ok()) return st;
+  std::vector<PasteChar> out;
+  out.reserve(range.size());
+  for (const SnapChar& c : range) out.push_back(CopyOf(c, doc));
   return out;
 }
 
@@ -791,7 +800,8 @@ Result<EditResult> TextStore::DeleteRange(UserId user, DocumentId doc,
   return RunEdit(
       user, doc, ChangeKind::kTextDeleted,
       [&](Transaction* txn, DocHandle* h, EditResult* out) -> Status {
-        if (pos + len > h->chain.live_size()) {
+        const size_t size = h->chain.live_size();
+        if (len > size || pos > size - len) {
           return Status::OutOfRange("delete range beyond document length");
         }
         for (const SnapChar& c : h->chain.LiveRange(pos, len)) {
@@ -867,7 +877,8 @@ Result<std::string> TextStore::TextRange(DocumentId doc, size_t pos,
   auto handle = Handle(doc);
   if (!handle.ok()) return handle.status();
   MutexLock lock((*handle)->mu);
-  if (pos + len > (*handle)->chain.live_size()) {
+  const size_t size = (*handle)->chain.live_size();
+  if (len > size || pos > size - len) {
     return Status::OutOfRange("text range beyond document length");
   }
   return (*handle)->chain.TextRange(pos, len);
@@ -887,19 +898,7 @@ Result<std::string> TextStore::TextAtVersion(DocumentId doc,
   if (version < h->purge_floor) {
     return PurgeFloorError(doc, version, h->purge_floor);
   }
-  std::string out;
-  uint64_t current = h->head;
-  while (current != 0) {
-    auto rec = ReadCharRecord(h, current);
-    if (!rec.ok()) return rec.status();
-    Version ins = rec->GetUint(kCcInsVer);
-    Version del = rec->GetUint(kCcDelVer);
-    if (ins <= version && (del == 0 || del > version)) {
-      AppendUtf8(&out, static_cast<uint32_t>(rec->GetUint(kCcCp)));
-    }
-    current = rec->GetUint(kCcNext);
-  }
-  return out;
+  return h->chain.TextAtVersion(version);
 }
 
 Result<uint64_t> TextStore::Length(DocumentId doc) {
@@ -955,7 +954,7 @@ Result<std::vector<CharInfo>> TextStore::RangeInfo(DocumentId doc, size_t pos,
   if (!handle.ok()) return handle.status();
   DocHandle* h = handle->get();
   MutexLock lock(h->mu);
-  if (pos + len > h->chain.live_size()) {
+  if (len > h->chain.live_size() || pos > h->chain.live_size() - len) {
     return Status::OutOfRange("range beyond document length");
   }
   std::vector<CharInfo> out;
@@ -974,12 +973,11 @@ Result<std::vector<CharInfo>> TextStore::FullChain(DocumentId doc) {
   DocHandle* h = handle->get();
   MutexLock lock(h->mu);
   std::vector<CharInfo> out;
-  uint64_t current = h->head;
-  while (current != 0) {
-    auto rec = ReadCharRecord(h, current);
+  out.reserve(h->chain.chain_size());
+  for (const SnapChar& c : h->chain.Chars()) {
+    auto rec = ReadCharRecord(h, c.id);
     if (!rec.ok()) return rec.status();
     out.push_back(CharInfoFromRecord(*rec));
-    current = rec->GetUint(kCcNext);
   }
   return out;
 }
@@ -991,72 +989,47 @@ Result<uint64_t> TextStore::PurgeHistory(UserId user, DocumentId doc,
       user, doc, ChangeKind::kMetadataChanged,
       [&](Transaction* txn, DocHandle* h, EditResult*) -> Status {
         purged = 0;
-        // Snapshot the chain: id, next, deletion version.
-        struct Node {
-          uint64_t id;
-          uint64_t next;
-          Version del_ver;
+        const std::vector<SnapChar> chain = h->chain.Chars();
+        auto purgeable = [&](const SnapChar& c) {
+          return c.deleted != 0 && c.deleted <= before;
         };
-        std::vector<Node> chain;
-        uint64_t current = h->head;
-        while (current != 0) {
-          auto rec = ReadCharRecord(h, current);
-          if (!rec.ok()) return rec.status();
-          chain.push_back(Node{current, rec->GetUint(kCcNext),
-                               rec->GetUint(kCcDelVer)});
-          current = rec->GetUint(kCcNext);
+        if (std::none_of(chain.begin(), chain.end(), purgeable)) {
+          return Status::OK();
         }
-        auto purgeable = [&](const Node& n) {
-          return n.del_ver != 0 && n.del_ver <= before;
-        };
-        // Relink the survivors sequentially around the purged runs.
-        std::vector<uint64_t> survivors;
-        survivors.reserve(chain.size());
-        for (const Node& node : chain) {
-          if (!purgeable(node)) survivors.push_back(node.id);
-        }
-        for (size_t i = 0; i < survivors.size(); ++i) {
-          uint64_t prev = i > 0 ? survivors[i - 1] : 0;
-          uint64_t next = i + 1 < survivors.size() ? survivors[i + 1] : 0;
-          auto rec = ReadCharRecord(h, survivors[i]);
-          if (!rec.ok()) return rec.status();
-          if (rec->GetUint(kCcPrev) != prev ||
-              rec->GetUint(kCcNext) != next) {
-            rec->value(kCcPrev) = prev;
-            rec->value(kCcNext) = next;
-            TENDAX_RETURN_IF_ERROR(
-                UpdateCharRecord(txn, h, survivors[i], *rec));
-          }
-        }
-        h->head = survivors.empty() ? 0 : survivors.front();
-        h->tail = survivors.empty() ? 0 : survivors.back();
-
         // Physically delete the purged records, tracking the highest
         // deletion version removed: that becomes the new purge floor (any
         // version >= it already saw all purged characters as dead, so
-        // reads at or above the floor stay exact).
+        // reads at or above the floor stay exact). Every survivor whose
+        // origin is not its surviving predecessor is re-pointed at it: the
+        // survivors then form one path from the document start, whose walk
+        // is their chain order whatever their ids.
         Version max_del = 0;
-        for (const Node& node : chain) {
-          if (!purgeable(node)) continue;
-          auto it = h->char_rids.find(node.id);
-          if (it == h->char_rids.end()) continue;
-          TENDAX_RETURN_IF_ERROR(chars_table_->Delete(txn, it->second));
-          TENDAX_RETURN_IF_ERROR(
-              char_index_->Delete(node.id, it->second.Pack()));
-          {
-            BPlusTree* index = char_index_;
-            uint64_t id = node.id, packed = it->second.Pack();
-            txn->AddRollbackAction([index, id, packed] {
-              (void)index->Insert(id, packed);
-            });
+        uint64_t predecessor = 0;
+        for (const SnapChar& c : chain) {
+          auto it = h->char_rids.find(c.id);
+          if (it == h->char_rids.end()) {
+            return Status::Internal("char chain cache out of sync");
           }
+          if (!purgeable(c)) {
+            auto rec = chars_table_->Get(it->second);
+            if (!rec.ok()) return rec.status();
+            if (rec->GetUint(kCcOrigin) != predecessor) {
+              rec->value(kCcOrigin) = predecessor;
+              TENDAX_RETURN_IF_ERROR(UpdateCharRecord(txn, h, c.id, *rec));
+            }
+            predecessor = c.id;
+            continue;
+          }
+          TENDAX_RETURN_IF_ERROR(chars_table_->Delete(txn, it->second));
+          TENDAX_RETURN_IF_ERROR(IndexEntry(txn, doc_chars_, h->id.value,
+                                            it->second.Pack(), false));
           h->char_rids.erase(it);
-          max_del = std::max(max_del, node.del_ver);
+          max_del = std::max(max_del, c.deleted);
           ++purged;
         }
         uint64_t chain_purged = h->chain.PurgeBelow(before);
         TENDAX_CHECK(chain_purged == purged);
-        if (purged > 0 && max_del > h->purge_floor) {
+        if (max_del > h->purge_floor) {
           h->purge_floor = max_del;  // persisted by WriteDocRecord
         }
         return Status::OK();
@@ -1073,17 +1046,8 @@ Result<DocumentInfo> TextStore::GetDocumentInfo(DocumentId doc) {
   }
   auto handle = Handle(doc);
   if (!handle.ok()) return handle.status();
-  DocHandle* h = handle->get();
-  MutexLock lock(h->mu);
-  DocumentInfo info;
-  info.id = h->id;
-  info.name = h->name;
-  info.creator = h->creator;
-  info.created = h->created;
-  info.state = h->state;
-  info.version = h->version;
-  info.length = h->chain.live_size();
-  return info;
+  MutexLock lock((*handle)->mu);
+  return InfoOf(handle->get());
 }
 
 Result<DocumentId> TextStore::FindDocumentByName(const std::string& name) {

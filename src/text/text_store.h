@@ -50,15 +50,18 @@ struct PasteChar {
 };
 
 /// TeNDaX's Text Native Database eXtension: text stored as one record per
-/// character, doubly linked inside the database; every edit operation runs
-/// as a real-time database transaction (insert/delete/copy/paste each
-/// commit before they are visible anywhere).
+/// character; every edit operation runs as a real-time database transaction
+/// (insert/delete/copy/paste each commit before they are visible anywhere).
 ///
-/// Characters are tombstoned, never physically removed, which yields
-/// time-travel reads (`TextAtVersion`) and cheap global undo. Per-document
-/// order is cached in memory for open documents (a persistent tree,
-/// `VersionedCharList`) and rebuilt from the linked records at open — the
-/// database stays the only source of truth.
+/// Each char record holds its origin, the char it was inserted directly
+/// after (0 = document start), written once. Order follows from the origins
+/// alone (a preorder walk of the origin tree, children in descending id), so
+/// an insert writes its new records and the document record and touches no
+/// neighbour. Characters are tombstoned, never physically removed, which
+/// yields time-travel reads (`TextAtVersion`) and cheap global undo.
+/// Per-document order is cached in memory for open documents (a persistent
+/// tree, `VersionedCharList`) and rebuilt from the records' origins at open
+/// — the database stays the only source of truth.
 ///
 /// Concurrency: every editing call takes an exclusive transaction-scoped
 /// lock on the document, so concurrent edits on one document serialize per
@@ -73,7 +76,8 @@ class TextStore {
   explicit TextStore(Database* db);
 
   /// Creates tables/indexes and rebuilds derived state (id counters and the
-  /// char-id -> rid index) from storage. Call once after Database::Open.
+  /// doc-id -> char rid index) from storage. Call once after Database::Open.
+  /// kFailedPrecondition if the file stores the tables in another layout.
   Status Init();
 
   // --- document lifecycle ---
@@ -150,8 +154,9 @@ class TextStore {
   /// tombstones — the raw material for version diffs and history purging.
   Result<std::vector<CharInfo>> FullChain(DocumentId doc);
 
-  /// Physically deletes tombstones whose deletion version is <= `before`,
-  /// unlinking them from the chain in one transaction. This irreversibly
+  /// Physically deletes tombstones whose deletion version is <= `before`, in
+  /// one transaction; every survivor whose origin is not its surviving
+  /// predecessor is re-pointed at it, so order is unchanged. This irreversibly
   /// truncates history: the document's purge floor rises to the highest
   /// deletion version purged, `TextAtVersion` below the floor fails typed,
   /// and undo of the covered deletes becomes impossible. Snapshots already
@@ -179,9 +184,10 @@ class TextStore {
 
   /// Checks every loaded document's in-memory chain against its tree
   /// invariants (`CheckChainTree`) and, when the cache is at the stored
-  /// version, its live count against the document record's. Takes each
-  /// document's shared lock, so no edit is half applied. kCorruption names
-  /// the document and the first breach.
+  /// version, against the records: the live count against the document
+  /// record's, and the chain against the order rebuilt from the char
+  /// records' origins. Takes each document's shared lock, so no edit is half
+  /// applied. kCorruption names the document and the first breach.
   Status CheckIntegrity() TENDAX_EXCLUDES(handles_mu_);
 
   /// Recomputes mvcc.live_snapshots / mvcc.oldest_snapshot_age_micros;
@@ -212,9 +218,6 @@ class TextStore {
     // Versions strictly below this are unreadable (purged history);
     // persisted in the documents table, raised only by PurgeHistory.
     Version purge_floor TENDAX_GUARDED_BY(mu) = 0;
-    // head/tail: physical first/last char id (may be tombstones).
-    uint64_t head TENDAX_GUARDED_BY(mu) = 0;
-    uint64_t tail TENDAX_GUARDED_BY(mu) = 0;
     // Full chain including tombstones; published snapshots share its
     // tree nodes copy-on-write.
     VersionedCharList chain TENDAX_GUARDED_BY(mu);
@@ -253,6 +256,12 @@ class TextStore {
       TENDAX_EXCLUDES(handles_mu_);
   Status LoadHandle(DocHandle* handle, DocumentId doc)
       TENDAX_REQUIRES(handle->mu);
+  /// A document's char records and their rids, in origin order.
+  struct StoredChain {
+    std::vector<SnapChar> chars;
+    std::vector<RecordId> rids;
+  };
+  Result<StoredChain> ReadChain(DocumentId doc);
   /// Pins an edit's base to the committed document header; caller holds the
   /// document X lock. Eviction racing an in-flight edit can leave two
   /// handle objects for one document, and a commit that went through the
@@ -267,6 +276,8 @@ class TextStore {
   Result<EditResult> RunEdit(UserId user, DocumentId doc, ChangeKind kind,
                              const EditBody& body);
 
+  /// The handle's document header.
+  static DocumentInfo InfoOf(DocHandle* handle) TENDAX_REQUIRES(handle->mu);
   /// Materializes an immutable snapshot of the handle's current state;
   /// O(1): it shares the chain tree's root.
   SnapshotRef PrepareLockedSnapshot(DocHandle* handle)
@@ -296,7 +307,8 @@ class TextStore {
   Result<EditResult> SetCharsDeleted(UserId user, DocumentId doc,
                                      const std::vector<CharId>& ids,
                                      bool deleted);
-  /// Core insertion: links `chars` after the live character at pos-1.
+  /// Core insertion: `chars` go directly after the live character at pos-1
+  /// (the document start for pos == 0), which is the first one's origin.
   Status InsertCharsAt(Transaction* txn, DocHandle* handle, UserId user,
                        size_t pos, const std::vector<PasteChar>& chars,
                        Version new_version, EditResult* result)
@@ -305,7 +317,7 @@ class TextStore {
   Database* const db_;
   HeapTable* chars_table_ = nullptr;
   HeapTable* docs_table_ = nullptr;
-  BPlusTree* char_index_ = nullptr;  // char_id -> rid
+  BPlusTree* doc_chars_ = nullptr;   // doc_id -> rid of each of its chars
   BPlusTree* doc_index_ = nullptr;   // doc_id -> rid
 
   std::atomic<bool> snapshots_enabled_{true};

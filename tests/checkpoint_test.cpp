@@ -208,6 +208,45 @@ TEST(WalSegmentationTest, TruncateDropsOnlyWholeSegmentsBelowBound) {
   EXPECT_EQ(records.front().lsn, 11u);
 }
 
+TEST(WalSegmentationTest, FailedDropStillCountsSegmentsAlreadyDropped) {
+  auto plan = std::make_shared<FaultPlan>();
+  auto inner = SegmentedLogStorage::InMemory();
+  auto storage = std::make_shared<FaultInjectingLogStorage>(inner, plan);
+  Wal wal(storage, GroupCommitOptions{}, nullptr, /*segment_bytes=*/0);
+  // Four segments of 5 records each; the last is current.
+  for (int seg = 0; seg < 4; ++seg) {
+    for (int i = 0; i < 5; ++i) {
+      LogRecord rec = UpdateRecord(1, "payload");
+      ASSERT_TRUE(wal.Append(&rec).ok());
+    }
+    ASSERT_TRUE(wal.FlushAll().ok());
+    if (seg < 3) {
+      ASSERT_TRUE(wal.RotateSegmentNow().ok());
+    }
+  }
+  const std::vector<uint64_t> ids = inner->SegmentIds();
+  ASSERT_EQ(ids.size(), 4u);
+  const uint64_t first_bytes = inner->SegmentBytes(ids[0]);
+  ASSERT_GT(first_bytes, 0u);
+
+  // The sweep issues only drops: its second I/O is the second drop.
+  plan->FailOp(plan->ops_seen() + 2);
+  auto freed = wal.TruncateSegmentsBelow(1000);
+  ASSERT_FALSE(freed.ok());
+  EXPECT_EQ(inner->SegmentIds().size(), 3u) << "the first drop went through";
+  EXPECT_EQ(wal.SegmentCount(), 3u);
+  EXPECT_EQ(wal.truncated_bytes(), first_bytes);
+
+  // A retry drops the other two sealed segments and adds exactly theirs.
+  const uint64_t rest = inner->SegmentBytes(ids[1]) +
+                        inner->SegmentBytes(ids[2]);
+  freed = wal.TruncateSegmentsBelow(1000);
+  ASSERT_TRUE(freed.ok()) << freed.status().ToString();
+  EXPECT_EQ(*freed, rest);
+  EXPECT_EQ(wal.truncated_bytes(), first_bytes + rest);
+  EXPECT_EQ(wal.SegmentCount(), 1u);
+}
+
 TEST(WalSegmentationTest, ReopenToleratesTornTailInCurrentSegmentOnly) {
   auto storage = SegmentedLogStorage::InMemory();
   {

@@ -195,6 +195,28 @@ TEST_F(DatabaseTest, CreateAndLookupTables) {
   EXPECT_EQ(*ensured, *t);
 }
 
+TEST_F(DatabaseTest, EnsureTableRejectsAStoredSchemaThatDiffers) {
+  ASSERT_TRUE(db_->CreateTable("docs", TestSchema()).ok());
+  // Same column count, one column renamed; then one retyped.
+  auto renamed = db_->EnsureTable(
+      "docs", Schema({{"id", ColumnType::kUint64},
+                      {"title", ColumnType::kString},
+                      {"score", ColumnType::kDouble},
+                      {"active", ColumnType::kBool}}));
+  ASSERT_TRUE(renamed.status().IsFailedPrecondition())
+      << renamed.status().ToString();
+  EXPECT_NE(renamed.status().message().find("'docs'"), std::string::npos);
+  auto retyped = db_->EnsureTable(
+      "docs", Schema({{"id", ColumnType::kUint64},
+                      {"name", ColumnType::kString},
+                      {"score", ColumnType::kUint64},
+                      {"active", ColumnType::kBool}}));
+  EXPECT_TRUE(retyped.status().IsFailedPrecondition());
+  // A new table is still created with the requested schema.
+  EXPECT_TRUE(db_->EnsureTable("other", TestSchema()).ok());
+  EXPECT_TRUE(db_->EnsureTable("docs", TestSchema()).ok());
+}
+
 TEST_F(DatabaseTest, InsertGetUpdateDelete) {
   auto t = db_->CreateTable("docs", TestSchema());
   ASSERT_TRUE(t.ok());

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <thread>
 
+#include "core/tendax.h"
 #include "text/text_store.h"
 #include "text/utf8.h"
+#include "util/random.h"
 
 namespace tendax {
 namespace {
@@ -400,6 +403,186 @@ TEST(TextStoreRecoveryTest, DocumentsSurviveCrash) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->name, "crashdoc");
   EXPECT_EQ(info->version, 3u);
+}
+
+// ---------- order from origins ----------
+
+/// What the origin-order tests compare between the cached chain and a
+/// reload from the records: the text, the chain's ids (tombstones
+/// included) and the text at every readable version.
+struct ChainView {
+  std::string text;
+  std::vector<uint64_t> ids;
+  std::vector<std::string> versions;  // 0 .. current version
+  bool operator==(const ChainView&) const = default;
+};
+
+ChainView View(TextStore* store, DocumentId doc) {
+  ChainView view;
+  view.text = *store->Text(doc);
+  auto chain = store->FullChain(doc);
+  EXPECT_TRUE(chain.ok()) << chain.status().ToString();
+  if (chain.ok()) {
+    for (const CharInfo& c : *chain) view.ids.push_back(c.id.value);
+  }
+  const Version current = *store->CurrentVersion(doc);
+  for (Version v = 0; v <= current; ++v) {
+    auto text = store->TextAtVersion(doc, v);
+    EXPECT_TRUE(text.ok() || text.status().IsFailedPrecondition())
+        << "version " << v << ": " << text.status().ToString();
+    view.versions.push_back(text.ok() ? *text : "<below the purge floor>");
+  }
+  return view;
+}
+
+// Seeded random edits; after each one the chain rebuilt from the records'
+// origins must equal the cached chain the edits maintained in memory.
+TEST(TextStoreOriginOrderTest, ReloadMatchesCacheUnderRandomEdits) {
+  const std::string dir = ::testing::TempDir() + "tendax_origin_order";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto open = [&] {
+    TendaxOptions options;
+    options.db.path = dir + "/db";
+    options.db.sync_commit = false;
+    auto server = TendaxServer::Open(std::move(options));
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    return server.ok() ? std::move(*server) : nullptr;
+  };
+  auto server = open();
+  ASSERT_NE(server, nullptr);
+  TextStore* store = server->text();
+  const UserId user(1);
+  auto created = store->CreateDocument(user, "ordered");
+  ASSERT_TRUE(created.ok());
+  const DocumentId doc = *created;
+
+  Random rng(20061);
+  auto word = [&] { return rng.Word(1, 4); };
+  ChainView last;
+  uint64_t purged = 0;
+  for (int step = 0; step < 160; ++step) {
+    // Half the steps run (and read) through the locked legacy path.
+    store->SetSnapshotsEnabled(step % 2 == 0);
+    const uint64_t length = *store->Length(doc);
+    const uint64_t op = rng.Uniform(8);
+    Status st;
+    if (op == 0) {
+      st = store->InsertText(user, doc, 0, word()).status();
+    } else if (op == 1) {
+      st = store->InsertText(user, doc, rng.Uniform(length + 1), word())
+               .status();
+    } else if (op == 2) {
+      st = store->InsertText(user, doc, length, word()).status();
+    } else if (op == 3 && length > 0) {
+      const uint64_t from = rng.Uniform(length);
+      auto clip = store->Copy(user, doc, from,
+                              1 + rng.Uniform(std::min<uint64_t>(
+                                      6, length - from)));
+      ASSERT_TRUE(clip.ok()) << clip.status().ToString();
+      st = store->Paste(user, doc, rng.Uniform(length + 1), *clip).status();
+    } else if (op == 4 && length > 0) {
+      const uint64_t from = rng.Uniform(length);
+      st = store->DeleteRange(user, doc, from,
+                              1 + rng.Uniform(std::min<uint64_t>(
+                                      5, length - from)))
+               .status();
+    } else if (op == 5 || op == 6) {
+      // Undo-style id edits: kill some live chars or revive tombstones.
+      auto chain = store->FullChain(doc);
+      ASSERT_TRUE(chain.ok());
+      std::vector<CharId> ids;
+      for (const CharInfo& c : *chain) {
+        if ((c.deleted_version == 0) == (op == 5) && rng.OneIn(4)) {
+          ids.push_back(c.id);
+        }
+      }
+      st = op == 5 ? store->DeleteChars(user, doc, ids).status()
+                   : store->ResurrectChars(user, doc, ids).status();
+    } else if (op == 7) {
+      const Version current = *store->CurrentVersion(doc);
+      auto n = store->PurgeHistory(user, doc, rng.Uniform(current + 1));
+      st = n.status();
+      if (n.ok()) purged += *n;
+    }
+    ASSERT_TRUE(st.ok()) << "step " << step << ": " << st.ToString();
+    ASSERT_TRUE(store->CheckIntegrity().ok()) << "step " << step;
+
+    const ChainView cached = View(store, doc);
+    store->InvalidateHandle(doc);
+    last = View(store, doc);
+    ASSERT_EQ(last, cached) << "step " << step << " (op " << op << ")";
+    ASSERT_TRUE(store->CheckIntegrity().ok()) << "step " << step;
+  }
+  ASSERT_FALSE(last.ids.empty());
+  ASSERT_GT(purged, 0u) << "the seed never purged a tombstone";
+
+  server.reset();
+  server = open();
+  ASSERT_NE(server, nullptr);
+  EXPECT_EQ(View(server->text(), doc), last);
+  EXPECT_TRUE(server->CheckIntegrity().ok());
+  server.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// A record whose origin does not lead back to its document's start cannot
+// be placed: loading the document fails loudly instead of dropping it.
+TEST(TextStoreOriginOrderTest, OriginOutsideTheDocumentIsCorruption) {
+  auto disk = std::make_shared<InMemoryDiskManager>();
+  auto log = std::make_shared<InMemoryLogStorage>();
+  auto open = [&] {
+    DatabaseOptions options;
+    options.disk = disk;
+    options.log_storage = log;
+    options.buffer_pool_pages = 256;
+    auto db = Database::Open(options);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    return db.ok() ? std::move(*db) : nullptr;
+  };
+  const UserId user(1);
+  DocumentId stray, looped, other;
+  {
+    auto db = open();
+    ASSERT_NE(db, nullptr);
+    TextStore store(db.get());
+    ASSERT_TRUE(store.Init().ok());
+    stray = *store.CreateDocument(user, "stray");
+    looped = *store.CreateDocument(user, "looped");
+    other = *store.CreateDocument(user, "other");
+    ASSERT_TRUE(store.InsertText(user, stray, 0, "ab").ok());
+    ASSERT_TRUE(store.InsertText(user, other, 0, "cd").ok());
+    const uint64_t foreign = store.FullChain(other)->front().id.value;
+    auto chars = db->GetTable("tendax_chars");
+    ASSERT_TRUE(chars.ok());
+    auto record = [&](uint64_t id, DocumentId doc, uint64_t origin) {
+      return Record({id, doc.value, uint64_t{'x'}, origin, user.value,
+                     uint64_t{0}, uint64_t{1}, uint64_t{0}, uint64_t{0},
+                     uint64_t{0}, uint64_t{0}, std::string()});
+    };
+    ASSERT_TRUE(db->txns()
+                    ->RunInTxn(user,
+                               [&](Transaction* txn) -> Status {
+                                 auto a = (*chars)->Insert(
+                                     txn, record(1000, stray, foreign));
+                                 if (!a.ok()) return a.status();
+                                 return (*chars)
+                                     ->Insert(txn, record(1001, looped, 1001))
+                                     .status();
+                               })
+                    .ok());
+  }
+  auto db = open();
+  ASSERT_NE(db, nullptr);
+  TextStore store(db.get());
+  ASSERT_TRUE(store.Init().ok());
+  auto text = store.Text(stray);
+  ASSERT_FALSE(text.ok());
+  EXPECT_TRUE(text.status().IsCorruption()) << text.status().ToString();
+  auto loop = store.Text(looped);
+  ASSERT_FALSE(loop.ok());
+  EXPECT_TRUE(loop.status().IsCorruption()) << loop.status().ToString();
+  EXPECT_EQ(*store.Text(other), "cd");
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "collab/wire.h"
 #include "obs/metrics.h"
 #include "server_fixture.h"
@@ -457,6 +459,42 @@ TEST_F(WireSessionTest, RemoteEditorsCollaborateOverBytes) {
   EXPECT_EQ(bad.code, StatusCode::kOutOfRange);
   auto bogus_clip = send(bob_link, cmd(CommandKind::kPaste, 0, 0, "99"));
   EXPECT_EQ(bogus_clip.code, StatusCode::kInvalidArgument);
+}
+
+TEST_F(WireSessionTest, RangeWhoseEndWrapsIsOutOfRange) {
+  // pos + len wraps to 0 here: a check on the sum would pass it.
+  constexpr uint64_t kHuge = std::numeric_limits<uint64_t>::max();
+  auto editor = server_->AttachEditor(alice_, "wrapping-range");
+  ASSERT_TRUE(editor.ok());
+  DocumentId doc = MakeDoc(alice_, "wrap", "hello");
+  TextStore* text = server_->text();
+
+  for (bool snapshots : {true, false}) {
+    text->SetSnapshotsEnabled(snapshots);
+    EXPECT_TRUE((*editor)->Erase(doc, 1, kHuge).IsOutOfRange());
+    EXPECT_TRUE((*editor)->CopyRange(doc, 1, kHuge).status().IsOutOfRange());
+    EXPECT_TRUE(text->DeleteRange(alice_, doc, 1, kHuge).status()
+                    .IsOutOfRange());
+    EXPECT_TRUE(text->Copy(alice_, doc, 1, kHuge).status().IsOutOfRange());
+    EXPECT_TRUE(text->TextRange(doc, 1, kHuge).status().IsOutOfRange());
+    EXPECT_TRUE(text->RangeInfo(doc, 1, kHuge).status().IsOutOfRange());
+    EXPECT_EQ(*text->Text(doc), "hello");
+  }
+  text->SetSnapshotsEnabled(true);
+
+  RemoteEditorEndpoint link(editor->get());
+  for (CommandKind kind : {CommandKind::kErase, CommandKind::kCopy}) {
+    EditCommand command;
+    command.kind = kind;
+    command.doc = doc;
+    command.pos = 1;
+    command.len = kHuge;
+    auto response = DecodeResponse(link.Handle(EncodeCommand(command)));
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->code, StatusCode::kOutOfRange) << response->message;
+  }
+  EXPECT_EQ(*text->Text(doc), "hello");
+  EXPECT_EQ(*text->CurrentVersion(doc), 1u);
 }
 
 }  // namespace

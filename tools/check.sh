@@ -21,11 +21,14 @@
 #   6. observability   ctest -L observability on a default build — the
 #                      metrics registry (the only store of server-side
 #                      counters), kStats coverage, the scrape stress
-#   7. clang-tidy      bug/concurrency/performance checks over src/
-#   8. sanitizers      ctest under -fsanitize=address and =undefined
+#   7. torture         ctest -L torture on a default build — the crash
+#                      sweeps and stress suites over the stored char
+#                      format, with a pass/fail line of their own
+#   8. clang-tidy      bug/concurrency/performance checks over src/
+#   9. sanitizers      ctest under -fsanitize=address and =undefined
 #                      (the checkpoint + overload + mvcc + observability
 #                      suites run under both as well)
-#   9. tsan mvcc       ctest -L mvcc under -fsanitize=thread — snapshot
+#  10. tsan mvcc       ctest -L mvcc under -fsanitize=thread — snapshot
 #                      publication / COW / reclamation raced against the
 #                      writer storm, checkpointer, purge, and eviction
 #
@@ -103,6 +106,13 @@ stage_observability() {
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L observability
 }
 
+stage_torture() {
+  local dir="$BUILD_ROOT/checkpoint"  # reuse the default-config build
+  cmake -S "$ROOT" -B "$dir" >/dev/null &&
+  cmake --build "$dir" -j "$JOBS" &&
+  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L torture
+}
+
 stage_tsan_mvcc() {
   local dir="$BUILD_ROOT/san-thread"
   cmake -S "$ROOT" -B "$dir" -DTENDAX_SANITIZE=thread >/dev/null &&
@@ -142,6 +152,8 @@ run_stage "overload (ctest -L overload)" stage_overload
 run_stage "mvcc (ctest -L mvcc)" stage_mvcc
 
 run_stage "observability (ctest -L observability)" stage_observability
+
+run_stage "torture (ctest -L torture)" stage_torture
 
 if have clang-tidy; then
   run_stage "clang-tidy" stage_clang_tidy
