@@ -127,10 +127,12 @@ class TendaxServer {
   /// Full structural integrity sweep: the underlying database (pages,
   /// tables, indexes; see `Database::CheckIntegrity`), then every open
   /// document's in-memory chain against its records (see
-  /// `TextStore::CheckIntegrity`).
+  /// `TextStore::CheckIntegrity`), then the search index against the text
+  /// it indexed (see `SearchEngine::CheckIntegrity`).
   Status CheckIntegrity() const {
     TENDAX_RETURN_IF_ERROR(db_->CheckIntegrity());
-    return text_->CheckIntegrity();
+    TENDAX_RETURN_IF_ERROR(text_->CheckIntegrity());
+    return search_->CheckIntegrity();
   }
 
  private:

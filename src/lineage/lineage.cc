@@ -31,18 +31,14 @@ bool SameProvenance(const CharInfo& a, const CharInfo& b) {
          a.src_external == b.src_external && a.author == b.author;
 }
 
-}  // namespace
-
-Result<std::vector<LineageSegment>> LineageAnalyzer::ForRange(DocumentId doc,
-                                                              size_t pos,
-                                                              size_t len) {
-  auto infos = text_->RangeInfo(doc, pos, len);
-  if (!infos.ok()) return infos.status();
+/// Groups consecutive chars of the same provenance and author; `infos`
+/// are the live chars from position `pos` on.
+std::vector<LineageSegment> Segments(size_t pos,
+                                     const std::vector<CharInfo>& infos) {
   std::vector<LineageSegment> segments;
-  for (size_t i = 0; i < infos->size(); ++i) {
-    const CharInfo& info = (*infos)[i];
-    if (!segments.empty() &&
-        SameProvenance((*infos)[i - 1], info)) {
+  for (size_t i = 0; i < infos.size(); ++i) {
+    const CharInfo& info = infos[i];
+    if (!segments.empty() && SameProvenance(infos[i - 1], info)) {
       LineageSegment& seg = segments.back();
       seg.len += 1;
       AppendUtf8(&seg.text, info.cp);
@@ -61,12 +57,22 @@ Result<std::vector<LineageSegment>> LineageAnalyzer::ForRange(DocumentId doc,
   return segments;
 }
 
+}  // namespace
+
+Result<std::vector<LineageSegment>> LineageAnalyzer::ForRange(DocumentId doc,
+                                                              size_t pos,
+                                                              size_t len) {
+  auto infos = text_->RangeInfo(doc, pos, len);
+  if (!infos.ok()) return infos.status();
+  return Segments(pos, *infos);
+}
+
 Result<std::vector<LineageSegment>> LineageAnalyzer::ForDocument(
     DocumentId doc) {
-  auto length = text_->Length(doc);
-  if (!length.ok()) return length.status();
-  if (*length == 0) return std::vector<LineageSegment>();
-  return ForRange(doc, 0, *length);
+  // One read: a separate Length() could be outrun by a concurrent delete.
+  auto infos = text_->LiveInfo(doc);
+  if (!infos.ok()) return infos.status();
+  return Segments(0, *infos);
 }
 
 Result<LineageGraph> LineageAnalyzer::BuildGraph() {

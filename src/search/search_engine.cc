@@ -24,22 +24,60 @@ const char* RankingName(Ranking ranking) {
 
 namespace {
 
-/// Calls fn(token) for every maximal run of ASCII letters and digits in
-/// `text`, lowercased: the C locale's isalnum/tolower, without a library
-/// call per byte (indexing a long document tokenizes every byte).
+/// The token alphabet: the lowercased ASCII letter or digit `c` is, or 0
+/// for a separator (so is every non-ASCII char, and every byte of one).
+inline char WordChar(uint32_t c) {
+  if (c >= 'A' && c <= 'Z') c |= 0x20;
+  return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')
+             ? static_cast<char>(c)
+             : 0;
+}
+
+/// Calls fn(token) for every maximal run of word chars in `text`,
+/// lowercased.
 template <typename Fn>
 void ForEachToken(const std::string& text, const Fn& fn) {
   std::string current;
   for (unsigned char c : text) {
-    if (c >= 'A' && c <= 'Z') c |= 0x20;
-    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) {
-      current.push_back(static_cast<char>(c));
+    if (char w = WordChar(c)) {
+      current.push_back(w);
     } else if (!current.empty()) {
       fn(current);
       current.clear();
     }
   }
   if (!current.empty()) fn(current);
+}
+
+/// Scans the live chars of one leaf: fills *head and *tail with the word
+/// fragments at its two ends and calls fn(token, offset) for every token
+/// between them, the offset counted in live chars. Returns false if the
+/// leaf holds no separator; *head is then all of it.
+template <typename Fn>
+bool ScanLeaf(const ChainNode& leaf, std::string* head, std::string* tail,
+              const Fn& fn) {
+  std::string word;
+  size_t at = 0;
+  size_t start = 0;
+  bool separated = false;
+  for (const SnapChar& c : leaf.chars) {
+    if (c.deleted != 0) continue;
+    if (char w = WordChar(c.cp)) {
+      if (word.empty()) start = at;
+      word.push_back(w);
+    } else {
+      if (!separated) {
+        *head = word;
+      } else if (!word.empty()) {
+        fn(word, start);
+      }
+      word.clear();
+      separated = true;
+    }
+    ++at;
+  }
+  *(separated ? tail : head) = std::move(word);
+  return separated;
 }
 
 }  // namespace
@@ -52,7 +90,15 @@ std::vector<std::string> Tokenize(const std::string& text) {
 
 SearchEngine::SearchEngine(Database* db, TextStore* text, MetaStore* meta,
                            DocumentModel* docs, LineageAnalyzer* lineage)
-    : db_(db), text_(text), meta_(meta), docs_(docs), lineage_(lineage) {}
+    : db_(db),
+      text_(text),
+      meta_(meta),
+      docs_(docs),
+      lineage_(lineage),
+      m_leaves_tokenized_(
+          db->metrics() == nullptr
+              ? nullptr
+              : db->metrics()->counter("search.leaves_tokenized")) {}
 
 Status SearchEngine::Init() {
   for (DocumentId doc : text_->ListDocuments()) {
@@ -68,16 +114,11 @@ Status SearchEngine::Init() {
             case ChangeKind::kDocumentCreated:
             case ChangeKind::kDocumentRenamed:
             case ChangeKind::kUndoApplied:
-            case ChangeKind::kRedoApplied:
-              if (eager_.load(std::memory_order_relaxed)) {
-                // A failed eager reindex leaves the previous postings; the
-                // commit listener cannot fail the already-committed txn.
-                (void)IndexDocument(ev.doc);
-              } else {
-                MutexLock lock(mu_);
-                dirty_docs_.insert(ev.doc.value);
-              }
+            case ChangeKind::kRedoApplied: {
+              MutexLock lock(mu_);
+              dirty_docs_.insert(ev.doc.value);
               break;
+            }
             default:
               break;
           }
@@ -86,106 +127,225 @@ Status SearchEngine::Init() {
   return Status::OK();
 }
 
-Status SearchEngine::IndexDocument(DocumentId doc) {
-  // One MVCC snapshot gives version, text and name from the same committed
-  // state — the three reads can never straddle a concurrent edit (the
-  // legacy path below performed them independently and could index text of
-  // version N+1 under version N).
-  Version version;
-  std::string content;
-  std::string name;
-  if (text_->snapshots_enabled()) {
-    auto snap = text_->AcquireSnapshot(doc);
-    if (!snap.ok()) return snap.status();
-    version = (*snap)->version();
-    content = (*snap)->Text();
-    name = (*snap)->info().name;
+uint32_t SearchEngine::Intern(const std::string& term) {
+  auto [it, added] = term_ids_.try_emplace(term, 0);
+  if (!added) return it->second;
+  if (free_ids_.empty()) {
+    it->second = static_cast<uint32_t>(term_names_.size());
+    term_names_.push_back(term);
   } else {
-    auto v = text_->CurrentVersion(doc);
-    if (!v.ok()) return v.status();
-    version = *v;
-    auto c = text_->Text(doc);
-    if (!c.ok()) return c.status();
-    content = std::move(*c);
-    auto info = text_->GetDocumentInfo(doc);
-    name = info.ok() ? info->name : "";
+    it->second = free_ids_.back();
+    free_ids_.pop_back();
+    term_names_[it->second] = term;
   }
-  {
-    MutexLock lock(mu_);
-    auto it = indexed_version_.find(doc.value);
-    if (it != indexed_version_.end() && it->second >= version) {
-      dirty_docs_.erase(doc.value);
-      return Status::OK();  // already fresh (events may arrive out of order)
+  return it->second;
+}
+
+SearchEngine::LeafSummary SearchEngine::Summarize(const ChainNode& leaf) {
+  LeafSummary s;
+  s.leaf = &leaf;
+  std::vector<std::string> tokens;
+  s.all_word = !ScanLeaf(leaf, &s.head, &s.tail,
+                         [&](const std::string& token, size_t) {
+                           tokens.push_back(token);
+                         });
+  std::vector<uint32_t> ids;
+  ids.reserve(tokens.size());
+  for (const std::string& token : tokens) ids.push_back(Intern(token));
+  std::sort(ids.begin(), ids.end());
+  for (uint32_t id : ids) {
+    if (!s.interior.empty() && s.interior.back().first == id) {
+      ++s.interior.back().second;
+    } else {
+      s.interior.emplace_back(id, 1);
     }
+  }
+  return s;
+}
+
+Status SearchEngine::IndexDocument(DocumentId doc) {
+  MutexLock reindex(reindex_mu_);
+  return Reindex(doc);
+}
+
+Status SearchEngine::Reindex(DocumentId doc) {
+  // Tree, version and name come from one committed state.
+  auto frozen = text_->FreezeChain(doc);
+  if (!frozen.ok()) return frozen.status();
+  auto [slot, first] = indexed_.try_emplace(doc.value);
+  DocIndex& ix = slot->second;
+  if (!first && (frozen->info.version < ix.version ||
+                 (frozen->info.version == ix.version &&
+                  frozen->tree.root().node == ix.tree.root().node))) {
+    return Status::OK();  // an earlier reindex got as far or further
   }
 
-  // Postings are built outside the lock; the shared index then changes
-  // only where a term appeared in or vanished from the document, so a
-  // reindex costs one map lookup per token plus one update per changed
-  // term, not one per token.
-  DocPostings postings;
-  auto add = [&postings](const std::string& token) {
-    auto at = postings.positions.find(token);
-    if (at == postings.positions.end()) {
-      at = postings.positions.emplace(token, std::vector<size_t>()).first;
+  // Shared leaves keep their order, so one walk of the new tree's leaves
+  // against the old summaries, in chain order, finds the new leaves and
+  // the gone ones, and stitches the words across leaf boundaries. The old
+  // tree stays held until then, so a new leaf cannot reuse the address of
+  // one whose summary is still keyed by it.
+  std::unordered_map<uint32_t, int64_t> delta;
+  std::vector<LeafSummary> next;
+  next.reserve(ix.leaves.size() + 16);
+  std::vector<const LeafSummary*> gone;
+  auto old = ix.leaves.begin();
+  uint64_t tokenized = 0;
+  std::string pending;
+  for (const ChainRef* ref : frozen->tree.Leaves()) {
+    const ChainNode* leaf = ref->node.get();
+    if (old != ix.leaves.end() && old->leaf != leaf &&
+        ix.known.count(leaf) != 0) {
+      while (old != ix.leaves.end() && old->leaf != leaf) {
+        gone.push_back(&*old++);
+      }
     }
-    at->second.push_back(postings.term_count++);
-  };
-  ForEachToken(content, add);
-  ForEachToken(name, add);
+    if (old != ix.leaves.end() && old->leaf == leaf) {
+      next.push_back(std::move(*old++));
+    } else {
+      next.push_back(Summarize(*leaf));
+      ++tokenized;
+      ix.known.insert(leaf);
+      for (auto [id, n] : next.back().interior) delta[id] += n;
+    }
+    LeafSummary& s = next.back();
+    s.live = ref->live;
+    pending += s.head;
+    if (s.all_word) continue;
+    if (pending != s.joined) {
+      if (!s.joined.empty()) --delta[term_ids_.at(s.joined)];
+      if (!pending.empty()) ++delta[Intern(pending)];
+      s.joined = pending;
+    }
+    pending = s.tail;
+  }
+  for (; old != ix.leaves.end(); ++old) gone.push_back(&*old);
+  for (const LeafSummary* g : gone) {
+    for (auto [id, n] : g->interior) delta[id] -= n;
+    if (!g->joined.empty()) --delta[term_ids_.at(g->joined)];
+    ix.known.erase(g->leaf);
+  }
+  std::vector<uint32_t> rest;
+  if (!pending.empty()) rest.push_back(Intern(pending));
+  for (const std::string& token : Tokenize(frozen->info.name)) {
+    rest.push_back(Intern(token));
+  }
+  for (uint32_t id : ix.rest) --delta[id];
+  for (uint32_t id : rest) ++delta[id];
+  MetricAdd(m_leaves_tokenized_, tokenized);
+  ix.leaves = std::move(next);
+  ix.rest = std::move(rest);
+  ix.tree = std::move(frozen->tree);
+  ix.version = frozen->info.version;
+  ix.name = std::move(frozen->info.name);
 
   MutexLock lock(mu_);
-  auto it = indexed_version_.find(doc.value);
-  if (it != indexed_version_.end() && it->second >= version) {
-    dirty_docs_.erase(doc.value);
-    return Status::OK();  // a concurrent reindex installed a newer version
-  }
-  DocPostings& old = doc_postings_[doc.value];
-  for (const auto& [term, positions] : old.positions) {
-    if (postings.positions.count(term) != 0) continue;
-    auto td = term_docs_.find(term);
-    if (td != term_docs_.end()) {
-      td->second.erase(doc.value);
-      if (td->second.empty()) term_docs_.erase(td);
+  uint64_t& count = term_count_[doc.value];
+  for (auto [id, d] : delta) {
+    if (d == 0) continue;
+    count += static_cast<uint64_t>(d);
+    std::string& term = term_names_[id];
+    auto postings = term_docs_.find(term);
+    if (postings == term_docs_.end()) {
+      postings = term_docs_.try_emplace(term).first;
     }
+    uint32_t& tf = postings->second[doc.value];
+    tf = static_cast<uint32_t>(tf + d);
+    if (tf != 0) continue;
+    postings->second.erase(doc.value);
+    if (!postings->second.empty()) continue;
+    term_docs_.erase(postings);
+    term_ids_.erase(term);
+    term.clear();
+    free_ids_.push_back(id);
   }
-  for (const auto& [term, positions] : postings.positions) {
-    if (old.positions.count(term) == 0) term_docs_[term].insert(doc.value);
-  }
-  std::swap(old, postings);  // the old postings are freed after unlocking
-  indexed_version_[doc.value] = version;
-  dirty_docs_.erase(doc.value);
   return Status::OK();
 }
 
 Status SearchEngine::FlushDirty() {
-  std::vector<uint64_t> dirty;
+  // A query that finds nothing dirty still waits here for a reindex in
+  // flight. The set is taken before the trees are read, so an edit that
+  // commits meanwhile marks its document dirty again.
+  MutexLock reindex(reindex_mu_);
+  std::set<uint64_t> dirty;
   {
     MutexLock lock(mu_);
-    dirty.assign(dirty_docs_.begin(), dirty_docs_.end());
+    dirty.swap(dirty_docs_);
   }
-  for (uint64_t doc : dirty) {
-    TENDAX_RETURN_IF_ERROR(IndexDocument(DocumentId(doc)));
+  for (auto it = dirty.begin(); it != dirty.end(); ++it) {
+    Status st = Reindex(DocumentId(*it));
+    if (!st.ok()) {
+      MutexLock lock(mu_);
+      dirty_docs_.insert(it, dirty.end());
+      return st;
+    }
+  }
+  return Status::OK();
+}
+
+Status SearchEngine::CheckIntegrity() {
+  using Totals = std::map<std::string, uint64_t>;
+  MutexLock reindex(reindex_mu_);
+  std::map<uint64_t, Totals> expected;
+  for (const auto& [doc, ix] : indexed_) {
+    Totals& totals = expected[doc];
+    auto add = [&totals](const std::string& token) { ++totals[token]; };
+    ForEachToken(ix.tree.Text(), add);
+    ForEachToken(ix.name, add);
+  }
+  MutexLock lock(mu_);
+  std::map<uint64_t, Totals> indexed;
+  for (const auto& [term, postings] : term_docs_) {
+    for (const auto& [doc, tf] : postings) indexed[doc][term] = tf;
+  }
+  for (const auto& [doc, totals] : expected) {
+    auto breach = [doc = doc](const std::string& what) {
+      return Status::Corruption("search index of document " +
+                                std::to_string(doc) + ": " + what);
+    };
+    const Totals& got = indexed[doc];
+    auto [a, b] = std::mismatch(totals.begin(), totals.end(), got.begin(),
+                                got.end());
+    if (a != totals.end() || b != got.end()) {
+      const std::string& term =
+          b == got.end() || (a != totals.end() && a->first < b->first)
+              ? a->first
+              : b->first;
+      auto in = [&term](const Totals& t) {
+        auto it = t.find(term);
+        return std::to_string(it == t.end() ? 0 : it->second);
+      };
+      return breach("'" + term + "' occurs " + in(totals) +
+                    " times, indexed " + in(got));
+    }
+    uint64_t count = 0;
+    for (const auto& [term, n] : totals) count += n;
+    auto c = term_count_.find(doc);
+    if (c == term_count_.end() || c->second != count) {
+      return breach("token count differs");
+    }
+  }
+  if (indexed.size() != expected.size() ||
+      term_count_.size() != expected.size()) {
+    return Status::Corruption("search index: postings of unindexed documents");
   }
   return Status::OK();
 }
 
 double SearchEngine::TfIdf(const std::vector<std::string>& terms,
                            uint64_t doc) const {
-  auto dp = doc_postings_.find(doc);
-  if (dp == doc_postings_.end() || dp->second.term_count == 0) return 0;
-  double n_docs = static_cast<double>(doc_postings_.size());
+  auto count = term_count_.find(doc);
+  if (count == term_count_.end() || count->second == 0) return 0;
+  double n_docs = static_cast<double>(term_count_.size());
   double score = 0;
   for (const std::string& term : terms) {
-    auto pos = dp->second.positions.find(term);
-    if (pos == dp->second.positions.end()) continue;
-    double tf = static_cast<double>(pos->second.size()) /
-                static_cast<double>(dp->second.term_count);
     auto td = term_docs_.find(term);
-    double df = td == term_docs_.end()
-                    ? 1
-                    : static_cast<double>(td->second.size());
-    score += tf * std::log(1.0 + n_docs / df);
+    if (td == term_docs_.end()) continue;
+    auto tf = td->second.find(doc);
+    if (tf == td->second.end()) continue;
+    score += static_cast<double>(tf->second) /
+             static_cast<double>(count->second) *
+             std::log(1.0 + n_docs / static_cast<double>(td->second.size()));
   }
   return score;
 }
@@ -272,23 +432,48 @@ Status SearchEngine::ApplyFilter(const SearchFilter& filter,
 }
 
 std::string SearchEngine::Snippet(DocumentId doc, const std::string& term) {
-  auto content = text_->Text(doc);
-  if (!content.ok()) return "";
-  // `term` is a lowercase token: compare against the text lowercased on
-  // the fly, so the scan stops at the first hit and copies nothing.
-  auto hit = std::search(content->begin(), content->end(), term.begin(),
-                         term.end(), [](unsigned char c, char t) {
-                           return std::tolower(c) == t;
-                         });
-  if (hit == content->end()) return content->substr(0, 40);
-  size_t at = static_cast<size_t>(hit - content->begin());
-  size_t start = at > 20 ? at - 20 : 0;
-  std::string snip = content->substr(start, 60);
-  for (char& c : snip) {
-    if (c == '\n') c = ' ';
+  // The first occurrence of `term` is found through the leaf summaries:
+  // only a leaf whose interior holds it is read.
+  CharTree tree;
+  size_t hit = SIZE_MAX;
+  {
+    MutexLock reindex(reindex_mu_);
+    auto ix = indexed_.find(doc.value);
+    if (ix == indexed_.end()) return "";
+    tree = ix->second.tree;
+    auto id = term_ids_.find(term);
+    std::string pending;
+    size_t start = 0;  // where `pending` began
+    size_t pos = 0;
+    for (const LeafSummary& s : ix->second.leaves) {
+      if (id == term_ids_.end()) break;
+      pending += s.head;
+      if (!s.all_word) {
+        if (pending == term) break;
+        auto in = std::lower_bound(s.interior.begin(), s.interior.end(),
+                                   std::make_pair(id->second, uint32_t{0}));
+        if (in != s.interior.end() && in->first == id->second) {
+          std::string head, tail;
+          ScanLeaf(*s.leaf, &head, &tail,
+                   [&](const std::string& token, size_t at) {
+                     if (token == term && hit == SIZE_MAX) hit = pos + at;
+                   });
+          break;
+        }
+        pending = s.tail;
+        start = pos + s.live - s.tail.size();
+      }
+      pos += s.live;
+    }
+    if (hit == SIZE_MAX && pending == term) hit = start;
   }
-  return (start > 0 ? "..." : "") + snip +
-         (start + 60 < content->size() ? "..." : "");
+  const size_t size = tree.live_size();
+  const size_t start = hit == SIZE_MAX ? 0 : hit > 20 ? hit - 20 : 0;
+  const size_t len = std::min<size_t>(hit == SIZE_MAX ? 40 : 60, size - start);
+  std::string snip = tree.TextRange(start, len);
+  std::replace(snip.begin(), snip.end(), '\n', ' ');
+  if (hit == SIZE_MAX) return snip;
+  return (start > 0 ? "..." : "") + snip + (start + len < size ? "..." : "");
 }
 
 Result<std::vector<SearchResult>> SearchEngine::Search(
@@ -304,8 +489,10 @@ Result<std::vector<SearchResult>> SearchEngine::Search(
     bool first = true;
     for (const std::string& term : terms) {
       auto it = term_docs_.find(term);
-      std::set<uint64_t> docs =
-          it == term_docs_.end() ? std::set<uint64_t>() : it->second;
+      std::set<uint64_t> docs;
+      if (it != term_docs_.end()) {
+        for (const auto& [doc, tf] : it->second) docs.insert(docs.end(), doc);
+      }
       if (first) {
         candidates = std::move(docs);
         first = false;
@@ -402,7 +589,7 @@ size_t SearchEngine::IndexedTerms() const {
 
 size_t SearchEngine::IndexedDocuments() const {
   MutexLock lock(mu_);
-  return doc_postings_.size();
+  return term_count_.size();
 }
 
 size_t SearchEngine::DirtyDocuments() const {

@@ -87,6 +87,14 @@ void ForLiveRange(const ChainNode* n, size_t* skip, size_t* remaining,
   }
 }
 
+/// Appends the leaf slots under `ref`, which is `levels` levels above the
+/// leaves (1 for a leaf), so a leaf's node is never loaded.
+void CollectLeaves(const ChainRef& ref, size_t levels,
+                   std::vector<const ChainRef*>* out) {
+  if (levels == 1) return out->push_back(&ref);
+  for (const ChainRef& k : ref.node->kids) CollectLeaves(k, levels - 1, out);
+}
+
 Status CheckSubtree(const ChainRef& ref, size_t depth, bool is_root,
                     size_t* leaf_depth) {
   if (ref.node == nullptr) return Status::Corruption("chain tree: null child");
@@ -186,6 +194,12 @@ std::vector<SnapChar> CharTree::Chars() const {
   std::vector<SnapChar> out;
   out.reserve(chain_size());
   ForEachChar(root_.node.get(), [&](const SnapChar& c) { out.push_back(c); });
+  return out;
+}
+
+std::vector<const ChainRef*> CharTree::Leaves() const {
+  std::vector<const ChainRef*> out;
+  if (root_.node != nullptr) CollectLeaves(root_, height(), &out);
   return out;
 }
 

@@ -125,6 +125,9 @@ class CharTree {
   std::string TextAtVersion(Version version) const;
   /// Every char in chain order, tombstones included.
   std::vector<SnapChar> Chars() const;
+  /// Every leaf's slot in chain order, found without loading a leaf; the
+  /// pointers stay valid while this object does.
+  std::vector<const ChainRef*> Leaves() const;
 
  protected:
   ChainRef root_;
@@ -165,6 +168,7 @@ class CharListSnapshot {
   Version purge_floor() const { return purge_floor_; }
   uint64_t length() const { return info_.length; }
 
+  const CharTree& tree() const { return tree_; }
   std::string Text() const { return tree_.Text(); }
   Result<std::string> TextRange(size_t pos, size_t len) const;
   /// Text as of `version` — kFailedPrecondition below the purge floor.

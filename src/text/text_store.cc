@@ -855,6 +855,19 @@ Result<EditResult> TextStore::ResurrectChars(UserId user, DocumentId doc,
   return SetCharsDeleted(user, doc, ids, false);
 }
 
+Result<FrozenChain> TextStore::FreezeChain(DocumentId doc) {
+  if (snapshots_enabled_.load(std::memory_order_relaxed)) {
+    auto snap = AcquireSnapshot(doc);
+    if (!snap.ok()) return snap.status();
+    return FrozenChain{(*snap)->info(), (*snap)->tree()};
+  }
+  auto handle = Handle(doc);
+  if (!handle.ok()) return handle.status();
+  DocHandle* h = handle->get();
+  MutexLock lock(h->mu);
+  return FrozenChain{InfoOf(h), h->chain.Freeze()};
+}
+
 Result<std::string> TextStore::Text(DocumentId doc) {
   if (snapshots_enabled_.load(std::memory_order_relaxed)) {
     auto snap = AcquireSnapshot(doc);
@@ -957,6 +970,20 @@ Result<std::vector<CharInfo>> TextStore::RangeInfo(DocumentId doc, size_t pos,
   if (len > h->chain.live_size() || pos > h->chain.live_size() - len) {
     return Status::OutOfRange("range beyond document length");
   }
+  return LockedRangeInfo(h, pos, len);
+}
+
+Result<std::vector<CharInfo>> TextStore::LiveInfo(DocumentId doc) {
+  auto handle = Handle(doc);
+  if (!handle.ok()) return handle.status();
+  DocHandle* h = handle->get();
+  MutexLock lock(h->mu);
+  return LockedRangeInfo(h, 0, h->chain.live_size());
+}
+
+Result<std::vector<CharInfo>> TextStore::LockedRangeInfo(DocHandle* h,
+                                                         size_t pos,
+                                                         size_t len) {
   std::vector<CharInfo> out;
   out.reserve(len);
   for (const SnapChar& c : h->chain.LiveRange(pos, len)) {

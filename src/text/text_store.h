@@ -49,6 +49,13 @@ struct PasteChar {
   std::string src_external;
 };
 
+/// A document's chain tree at one committed version, with that version's
+/// header.
+struct FrozenChain {
+  DocumentInfo info;
+  CharTree tree;
+};
+
 /// TeNDaX's Text Native Database eXtension: text stored as one record per
 /// character; every edit operation runs as a real-time database transaction
 /// (insert/delete/copy/paste each commit before they are visible anywhere).
@@ -134,6 +141,14 @@ class TextStore {
   Result<SnapshotRef> AcquireSnapshot(DocumentId doc)
       TENDAX_EXCLUDES(handles_mu_);
 
+  /// The chain tree of the latest committed version: the published
+  /// snapshot's with snapshots on, an O(1) `Freeze` of the cached chain
+  /// under the handle mutex with them off. The tree is immutable and
+  /// shares nodes copy-on-write with the writer, which clones a node before
+  /// mutating it once it is frozen; so while an older tree is held, a node
+  /// pointer found in both names the same content.
+  Result<FrozenChain> FreezeChain(DocumentId doc);
+
   Result<std::string> Text(DocumentId doc);
   Result<std::string> TextRange(DocumentId doc, size_t pos, size_t len);
   /// Reconstructs the text as of `version` from the snapshot chain
@@ -149,6 +164,10 @@ class TextStore {
   /// Character metadata for [pos, pos+len) — feeds lineage and mining.
   Result<std::vector<CharInfo>> RangeInfo(DocumentId doc, size_t pos,
                                           size_t len);
+  /// Character metadata for every live character; the length and the
+  /// records are read under one lock, so a concurrent delete cannot
+  /// shorten the range between them.
+  Result<std::vector<CharInfo>> LiveInfo(DocumentId doc);
 
   /// Every character record of the document in chain order, *including*
   /// tombstones — the raw material for version diffs and history purging.
@@ -296,6 +315,10 @@ class TextStore {
   void OnCommitted(const ChangeBatch& events) TENDAX_EXCLUDES(handles_mu_);
 
   Result<Record> ReadCharRecord(DocHandle* handle, uint64_t char_id)
+      TENDAX_REQUIRES(handle->mu);
+  /// The metadata of the live chars [pos, pos+len).
+  Result<std::vector<CharInfo>> LockedRangeInfo(DocHandle* handle, size_t pos,
+                                                size_t len)
       TENDAX_REQUIRES(handle->mu);
   Status UpdateCharRecord(Transaction* txn, DocHandle* handle,
                           uint64_t char_id, const Record& record)

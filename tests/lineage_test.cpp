@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "server_fixture.h"
 
 namespace tendax {
@@ -105,6 +108,36 @@ TEST_F(LineageTest, DeletedSourceCharsStillProvideLineage) {
   ASSERT_EQ(segments->size(), 1u);
   EXPECT_EQ((*segments)[0].kind, SourceKind::kInternal);
   EXPECT_EQ((*segments)[0].src_doc, src);
+}
+
+TEST_F(LineageTest, ForDocumentWhileCharsAreErased) {
+  // The length and the records are one read: a delete committing between
+  // them used to fail the whole-document range with OutOfRange.
+  DocumentId doc = MakeDoc(alice_, "shrinking", std::string(3000, 'x'));
+  std::atomic<bool> done{false};
+  std::thread eraser([&] {
+    for (int i = 0; i < 2900; ++i) {
+      Status st = server_->text()->DeleteRange(bob_, doc, 0, 1).status();
+      if (!st.ok()) {
+        ADD_FAILURE() << st.ToString();
+        break;
+      }
+    }
+    done = true;
+  });
+  size_t reads = 0;
+  size_t failed = 0;
+  while (!done || reads == 0) {
+    auto segments = server_->lineage()->ForDocument(doc);
+    if (!segments.ok()) ++failed;
+    ++reads;
+  }
+  eraser.join();
+  EXPECT_EQ(failed, 0u) << "of " << reads << " reads";
+  auto segments = server_->lineage()->ForDocument(doc);
+  ASSERT_TRUE(segments.ok());
+  ASSERT_EQ(segments->size(), 1u);
+  EXPECT_EQ((*segments)[0].len, 100u);
 }
 
 TEST_F(LineageTest, DotAndAsciiRenderings) {
