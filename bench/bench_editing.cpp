@@ -9,10 +9,12 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "core/tendax.h"
 #include "storage/wal.h"
+#include "text/snapshot.h"
 #include "workload/generators.h"
 
 namespace tendax {
@@ -171,6 +173,63 @@ void BM_TimeTravelRead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TimeTravelRead)->Arg(1)->Arg(20)->Arg(1000000);
+
+/// A 1M-char chain after `edits` scattered one-char edits, nine inserts to
+/// one delete, each followed by a publication as a typist's keystrokes
+/// are. So every edit clones its leaf, and the leaves end up spread over
+/// the heap. Version 1 is the set-up text.
+std::unique_ptr<VersionedCharList> ScatteredChain(size_t edits) {
+  constexpr size_t kLength = 1'000'000;
+  auto list = std::make_unique<VersionedCharList>();
+  std::vector<ChainChar> chars(kLength);
+  for (size_t i = 0; i < kLength; ++i) {
+    chars[i].id = i + 1;
+    chars[i].inserted = 1;
+    chars[i].cp = i % 7 == 6 ? ' ' : static_cast<uint32_t>('a' + i % 26);
+  }
+  list->Rebuild(chars);
+  Random rng(2006);
+  uint64_t next_id = kLength + 1;
+  for (size_t e = 0; e < edits; ++e) {
+    const Version version = e + 2;
+    if (rng.Uniform(10) == 0) {
+      list->TombstoneRange(rng.Uniform(list->live_size()), 1, version);
+    } else {
+      std::vector<ChainChar> run(1);
+      run[0].id = next_id++;
+      run[0].inserted = version;
+      run[0].cp = 'k';
+      list->InsertRun(rng.Uniform(list->live_size() + 1), run);
+    }
+    (void)list->Freeze();
+  }
+  return list;
+}
+
+// Time travel at keybench's length: the chain walk alone, with no wire or
+// snapshot acquisition, so it isolates the text layer's cost per chain
+// char (the tombstones and the chars typed since version 1 included).
+void BM_TimeTravelReadAtLength(benchmark::State& state) {
+  static size_t built_for = 0;
+  static std::unique_ptr<VersionedCharList> list;
+  const auto edits = static_cast<size_t>(state.range(0));
+  if (list == nullptr || built_for != edits) {
+    list.reset();
+    list = ScatteredChain(edits);
+    built_for = edits;
+  }
+  for (auto _ : state) {
+    std::string text = list->TextAtVersion(1);
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.counters["chain_chars"] = static_cast<double>(list->chain_size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(list->chain_size()));
+}
+BENCHMARK(BM_TimeTravelReadAtLength)
+    ->Arg(500'000)
+    ->Arg(1'000'000)
+    ->Unit(benchmark::kMillisecond);
 
 // Opening a document rebuilds the cache from the records' origins.
 void BM_OpenDocument(benchmark::State& state) {

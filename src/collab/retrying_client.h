@@ -82,8 +82,8 @@ class RetryingClient {
   explicit RetryingClient(WireTransport* transport, RetryOptions options = {});
 
   /// Issues one logical command: assigns an idempotency key (unless the
-  /// command already carries one or is exempt), retries across transport
-  /// loss, and returns the decoded response.
+  /// command already carries one or is an `IsIdempotentRead`), retries
+  /// across transport loss, and returns the decoded response.
   Result<WireResponse> Call(EditCommand command);
 
   // --- gesture helpers (thin wrappers over Call) ---

@@ -3,12 +3,16 @@
 #include <algorithm>
 
 #include "collab/admission.h"
-#include "storage/page.h"  // PageChecksum (FNV-1a), reused for frames
+#include "util/checksum.h"
 #include "util/clock.h"
 #include "util/coding.h"
 #include "util/deadline.h"
 
 namespace tendax {
+
+namespace {
+constexpr size_t kFrameTrailer = 4;  // fixed32 checksum after the body
+}  // namespace
 
 const char* CommandKindName(CommandKind kind) {
   switch (kind) {
@@ -50,6 +54,19 @@ const char* CommandKindName(CommandKind kind) {
       return "get_text_at";
   }
   return "?";
+}
+
+bool IsIdempotentRead(CommandKind kind) {
+  switch (kind) {
+    case CommandKind::kGetText:
+    case CommandKind::kGetTextAt:
+    case CommandKind::kResume:
+    case CommandKind::kHeartbeat:
+    case CommandKind::kStats:
+      return true;
+    default:
+      return false;
+  }
 }
 
 std::string EncodeCommand(const EditCommand& command) {
@@ -96,6 +113,12 @@ Result<EditCommand> DecodeCommand(Slice bytes) {
 
 std::string EncodeResponse(const WireResponse& response) {
   std::string out;
+  // One allocation for the whole reply and its frame trailer: a time-travel
+  // payload is the whole document, and each regrowth would copy it.
+  out.reserve(1 + VarintLength(response.message.size()) +
+              response.message.size() +
+              VarintLength(response.payload.size()) + response.payload.size() +
+              VarintLength(response.retry_after_micros) + kFrameTrailer);
   out.push_back(static_cast<char>(response.code));
   PutLengthPrefixed(&out, response.message);
   PutLengthPrefixed(&out, response.payload);
@@ -234,23 +257,21 @@ Result<std::vector<SeqEvent>> DecodeSeqEventBatch(Slice bytes) {
   return events;
 }
 
-std::string SealFrame(const std::string& body) {
-  std::string out;
-  PutFixed32(&out, PageChecksum(body.data(), body.size()));
-  out.append(body);
-  return out;
+std::string SealFrame(std::string body) {
+  PutFixed32(&body, Checksum32(body.data(), body.size()));
+  return body;
 }
 
-Result<std::string> OpenFrame(Slice frame) {
-  if (frame.size() < 4) return Status::Corruption("frame shorter than header");
-  uint32_t stored;
-  if (!GetFixed32(&frame, &stored)) {
-    return Status::Corruption("frame shorter than header");
+Result<Slice> OpenFrame(Slice frame) {
+  if (frame.size() < kFrameTrailer) {
+    return Status::Corruption("frame shorter than its checksum");
   }
-  if (stored != PageChecksum(frame.data(), frame.size())) {
+  const Slice body(frame.data(), frame.size() - kFrameTrailer);
+  if (DecodeFixed32(body.data() + body.size()) !=
+      Checksum32(body.data(), body.size())) {
     return Status::Corruption("frame checksum mismatch");
   }
-  return frame.ToString();
+  return body;
 }
 
 Result<std::string> DirectTransport::RoundTrip(const std::string& request) {
@@ -307,13 +328,9 @@ std::string RemoteEditorEndpoint::Handle(Slice command_bytes) {
     budget_micros = command->deadline_micros - now;
   }
   // At-most-once execution: a retried command (same idempotency key)
-  // returns the cached response instead of running again. Resume, heartbeat
-  // and stats are exempt — they are idempotent by construction and must
-  // reflect current state, never a cached snapshot of it.
-  const bool dedupable = command->request_id != 0 &&
-                         command->kind != CommandKind::kResume &&
-                         command->kind != CommandKind::kHeartbeat &&
-                         command->kind != CommandKind::kStats;
+  // returns the cached response instead of running again.
+  const bool dedupable =
+      command->request_id != 0 && !IsIdempotentRead(command->kind);
   if (dedupable) {
     auto it = dedup_.find(command->request_id);
     if (it != dedup_.end()) {

@@ -48,6 +48,13 @@ constexpr uint8_t kCommandKindMax = 18;
 /// outside the enum. Used for per-command metric names.
 const char* CommandKindName(CommandKind kind);
 
+/// True for commands that change nothing a retry could repeat and must
+/// answer from current state: text reads, time travel, resume, heartbeat
+/// and stats. They carry no idempotency key and are never cached for
+/// at-most-once delivery; a read reply can be the whole document. kOpen is
+/// not one of them: it appends a read-audit row.
+bool IsIdempotentRead(CommandKind kind);
+
 /// One editor gesture on the wire.
 struct EditCommand {
   CommandKind kind = CommandKind::kGetText;
@@ -106,14 +113,17 @@ Result<std::vector<SeqEvent>> DecodeSeqEventBatch(Slice bytes);
 
 // --- frame integrity ---
 //
-// Frames crossing a real network carry a checksum envelope so in-flight
-// corruption is detected at the receiving side and handled as frame loss
-// (drop + retry) rather than leaking into command parsing.
+// Frames crossing a real network carry a checksum so in-flight corruption
+// is detected at the receiving side and handled as frame loss (drop +
+// retry) rather than leaking into command parsing. A frame is the body
+// followed by a fixed32 `Checksum32` of it: sealing appends to the body it
+// is handed and opening returns a view, so neither copies the body.
 
-/// Prepends a checksum header to `body`.
-std::string SealFrame(const std::string& body);
-/// Verifies and strips the checksum header; kCorruption on damage.
-Result<std::string> OpenFrame(Slice frame);
+/// Appends the checksum trailer to `body`.
+std::string SealFrame(std::string body);
+/// Verifies the checksum trailer and returns the body, a view into `frame`
+/// valid while its bytes are; kCorruption on damage.
+Result<Slice> OpenFrame(Slice frame);
 
 // --- transport ---
 

@@ -166,7 +166,7 @@ struct MetricsSnapshot {
   const HistogramSnapshot* FindHistogram(const std::string& name) const;
 };
 
-/// Encodes `snapshot` with a trailing fixed32 FNV-1a checksum over the
+/// Encodes `snapshot` with a trailing fixed32 `Checksum32` over the
 /// payload so a remote reader can detect torn or corrupted transfers.
 std::string EncodeMetricsSnapshot(const MetricsSnapshot& snapshot);
 

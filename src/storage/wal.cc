@@ -6,22 +6,10 @@
 #include <cerrno>
 #include <cstring>
 
+#include "util/checksum.h"
 #include "util/coding.h"
 
 namespace tendax {
-
-namespace {
-
-uint32_t Fnv1a(const char* data, size_t n) {
-  uint32_t h = 2166136261u;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 16777619u;
-  }
-  return h;
-}
-
-}  // namespace
 
 void LogRecord::EncodeTo(std::string* dst) const {
   PutVarint64(dst, lsn);
@@ -294,7 +282,7 @@ Result<Lsn> Wal::Append(LogRecord* rec) {
   std::string payload;
   rec->EncodeTo(&payload);
   PutFixed32(&pending_, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&pending_, Fnv1a(payload.data(), payload.size()));
+  PutFixed32(&pending_, Checksum32(payload.data(), payload.size()));
   pending_.append(payload);
   m_appends_->Add();
   return rec->lsn;
@@ -653,7 +641,7 @@ Lsn Wal::DecodeLogBuffer(const std::string& buffer,
     uint32_t crc = DecodeFixed32(input.data() + 4);
     if (input.size() < 8 + static_cast<size_t>(len)) break;  // torn tail
     Slice payload(input.data() + 8, len);
-    if (Fnv1a(payload.data(), payload.size()) != crc) break;  // corrupt tail
+    if (Checksum32(payload.data(), payload.size()) != crc) break;  // corrupt tail
     LogRecord rec;
     if (!LogRecord::DecodeFrom(payload, &rec)) break;
     // LSNs are assigned contiguously (Reset() truncates bytes but keeps

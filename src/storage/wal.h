@@ -269,7 +269,7 @@ struct WalGroupCommitStats {
 
 /// The write-ahead log. Thread-safe. Appends buffer in memory; Flush()
 /// makes everything up to a given LSN durable. Framing per record:
-/// fixed32 payload length, fixed32 FNV-1a checksum, payload. A torn tail
+/// fixed32 payload length, fixed32 `Checksum32` of the payload, payload. A torn tail
 /// (truncated or corrupt final record) is tolerated on read.
 ///
 /// Commit durability goes through `CommitFlush`, which implements the

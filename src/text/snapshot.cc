@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <type_traits>
 
 #include "text/utf8.h"
 
 namespace tendax {
 
 namespace {
+
+const std::shared_ptr<const CharSource> kNoSource;
 
 /// Recomputes `ref`'s counts and max id from its node's contents.
 void Summarize(ChainRef& ref) {
@@ -43,22 +44,53 @@ void PrefetchNext(const std::vector<ChainRef>& kids, size_t i) {
   for (; p < end; p += 64) __builtin_prefetch(p);
 }
 
-/// Calls fn(c) for every char under `n`, in chain order.
+/// Calls fn(leaf) for every leaf under `n`, in chain order.
 template <typename Fn>
-void ForEachChar(const ChainNode* n, const Fn& fn) {
+void ForEachLeaf(const ChainNode* n, const Fn& fn) {
   if (n == nullptr) return;
-  if (n->leaf()) {
-    for (const SnapChar& c : n->chars) fn(c);
-    return;
-  }
+  if (n->leaf()) return fn(*n);
   for (size_t i = 0; i < n->kids.size(); ++i) {
     PrefetchNext(n->kids, i);
-    ForEachChar(n->kids[i].node.get(), fn);
+    ForEachLeaf(n->kids[i].node.get(), fn);
   }
 }
 
-/// Calls fn(c) for the live chars under `n` after skipping `*skip` of
-/// them, until `*remaining` reaches zero; skips whole subtrees by count.
+/// Appends the UTF-8 of the chars of `leaf` that keep(c) selects. ASCII
+/// goes through a stack buffer, so whether a char is kept is a data
+/// dependency rather than a branch: after scattered edits, kept and
+/// skipped chars interleave at random and a branch would mispredict.
+template <typename Keep>
+void AppendLeafText(const ChainNode& leaf, const Keep& keep,
+                    std::string* out) {
+  char buf[CharTree::kLeafMax];
+  const SnapChar* c = leaf.chars.data();
+  const SnapChar* const end = c + leaf.chars.size();
+  while (c < end) {  // once, unless the leaf is over kLeafMax
+    const SnapChar* const stop = c + std::min<size_t>(end - c, sizeof(buf));
+    char* p = buf;
+    for (; c < stop; ++c) {
+      if (c->cp <= 0x7F) {
+        *p = static_cast<char>(c->cp);
+        p += keep(*c);
+      } else if (keep(*c)) {
+        out->append(buf, p);
+        p = buf;
+        AppendUtf8Multibyte(out, c->cp);
+      }
+    }
+    out->append(buf, p);
+  }
+}
+
+/// `c`, a char of `leaf`, with its provenance resolved.
+ChainChar Resolved(const ChainNode& leaf, const SnapChar& c) {
+  ChainChar out{c, leaf.SourceOf(c)};
+  out.src = 0;
+  return out;
+}
+
+/// Calls fn(leaf, c) for the live chars under `n` after skipping `*skip`
+/// of them, until `*remaining` reaches zero; skips whole subtrees by count.
 template <typename Fn>
 void ForLiveRange(const ChainNode* n, size_t* skip, size_t* remaining,
                   const Fn& fn) {
@@ -71,7 +103,7 @@ void ForLiveRange(const ChainNode* n, size_t* skip, size_t* remaining,
         --*skip;
         continue;
       }
-      fn(c);
+      fn(*n, c);
       --*remaining;
     }
     return;
@@ -113,6 +145,19 @@ Status CheckSubtree(const ChainRef& ref, size_t depth, bool is_root,
     if (*leaf_depth != depth) {
       return Status::Corruption("chain tree: leaves at two depths");
     }
+    for (const SnapChar& c : n.chars) {
+      if (c.src > n.sources.size()) {
+        return Status::Corruption(
+            "chain tree: char " + std::to_string(c.id) + at +
+            " names provenance slot " + std::to_string(c.src) +
+            " of a table of " + std::to_string(n.sources.size()));
+      }
+    }
+    for (const auto& source : n.sources) {
+      if (source == nullptr) {
+        return Status::Corruption("chain tree: null provenance" + at);
+      }
+    }
   } else {
     for (const ChainRef& k : n.kids) {
       TENDAX_RETURN_IF_ERROR(CheckSubtree(k, depth + 1, false, leaf_depth));
@@ -129,6 +174,26 @@ Status CheckSubtree(const ChainRef& ref, size_t depth, bool is_root,
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// ChainNode
+
+const std::shared_ptr<const CharSource>& ChainNode::SourceOf(
+    const SnapChar& c) const {
+  return c.src == 0 ? kNoSource : sources[c.src - 1];
+}
+
+uint32_t ChainNode::Intern(const std::shared_ptr<const CharSource>& source) {
+  if (source == nullptr) return 0;
+  if (sources.empty() || sources.back() != source) sources.push_back(source);
+  return static_cast<uint32_t>(sources.size());
+}
+
+void ChainNode::Append(SnapChar c,
+                       const std::shared_ptr<const CharSource>& source) {
+  c.src = Intern(source);
+  chars.push_back(c);
+}
 
 // ---------------------------------------------------------------------------
 // CharTree
@@ -148,15 +213,16 @@ const SnapChar& CharTree::LiveAt(size_t pos) const {
   const SnapChar* found = &kNone;
   size_t one = 1;
   ForLiveRange(root_.node.get(), &pos, &one,
-               [&](const SnapChar& c) { found = &c; });
+               [&](const ChainNode&, const SnapChar& c) { found = &c; });
   return *found;
 }
 
 std::string CharTree::Text() const {
   std::string out;
   out.reserve(live_size());
-  ForEachChar(root_.node.get(), [&](const SnapChar& c) {
-    if (c.deleted == 0) AppendUtf8(&out, c.cp);
+  ForEachLeaf(root_.node.get(), [&](const ChainNode& leaf) {
+    AppendLeafText(
+        leaf, [](const SnapChar& c) { return c.deleted == 0; }, &out);
   });
   return out;
 }
@@ -165,35 +231,45 @@ std::string CharTree::TextRange(size_t pos, size_t len) const {
   assert(len <= live_size() && pos <= live_size() - len);
   std::string out;
   out.reserve(len);
-  ForLiveRange(root_.node.get(), &pos, &len,
-               [&](const SnapChar& c) { AppendUtf8(&out, c.cp); });
+  ForLiveRange(
+      root_.node.get(), &pos, &len,
+      [&](const ChainNode&, const SnapChar& c) { AppendUtf8(&out, c.cp); });
   return out;
 }
 
-std::vector<SnapChar> CharTree::LiveRange(size_t pos, size_t len) const {
+std::vector<ChainChar> CharTree::LiveRange(size_t pos, size_t len) const {
   assert(len <= live_size() && pos <= live_size() - len);
-  std::vector<SnapChar> out;
+  std::vector<ChainChar> out;
   out.reserve(len);
   ForLiveRange(root_.node.get(), &pos, &len,
-               [&](const SnapChar& c) { out.push_back(c); });
+               [&](const ChainNode& leaf, const SnapChar& c) {
+                 out.push_back(Resolved(leaf, c));
+               });
   return out;
 }
 
 std::string CharTree::TextAtVersion(Version version) const {
   std::string out;
   out.reserve(live_size());
-  ForEachChar(root_.node.get(), [&](const SnapChar& c) {
-    if (c.inserted <= version && (c.deleted == 0 || c.deleted > version)) {
-      AppendUtf8(&out, c.cp);
-    }
+  ForEachLeaf(root_.node.get(), [&](const ChainNode& leaf) {
+    // deleted - 1 >= version: live (0 wraps to the maximum) or deleted
+    // after `version`.
+    AppendLeafText(
+        leaf,
+        [version](const SnapChar& c) {
+          return (c.inserted <= version) & (c.deleted - 1 >= version);
+        },
+        &out);
   });
   return out;
 }
 
-std::vector<SnapChar> CharTree::Chars() const {
-  std::vector<SnapChar> out;
+std::vector<ChainChar> CharTree::Chars() const {
+  std::vector<ChainChar> out;
   out.reserve(chain_size());
-  ForEachChar(root_.node.get(), [&](const SnapChar& c) { out.push_back(c); });
+  ForEachLeaf(root_.node.get(), [&](const ChainNode& leaf) {
+    for (const SnapChar& c : leaf.chars) out.push_back(Resolved(leaf, c));
+  });
   return out;
 }
 
@@ -250,8 +326,8 @@ Result<std::string> CharListSnapshot::TextAtVersion(Version version) const {
   return tree_.TextAtVersion(version);
 }
 
-Result<std::vector<SnapChar>> CharListSnapshot::LiveRange(size_t pos,
-                                                          size_t len) const {
+Result<std::vector<ChainChar>> CharListSnapshot::LiveRange(
+    size_t pos, size_t len) const {
   if (len > info_.length || pos > info_.length - len) {
     return Status::OutOfRange("range beyond document length");
   }
@@ -328,27 +404,21 @@ ChainNode* VersionedCharList::Own(ChainRef& ref) {
   return ref.node.get();
 }
 
-/// Packs `items` (chars for leaves, child slots for internal nodes) into
-/// ceil(size / target) nodes of even size: each holds at most `target` and,
-/// when there is more than one, more than target / 2.
-template <typename T>
-std::vector<ChainRef> VersionedCharList::Pack(std::vector<T> items,
-                                              size_t target) {
-  const size_t pieces = (items.size() + target - 1) / target;
+/// Packs `count` items (chars for leaves, child slots for internal nodes)
+/// into ceil(count / target) new nodes of even size: each holds at most
+/// `target` and, when there is more than one, more than target / 2.
+/// fill(node, from, to) moves items [from, to) into each.
+template <typename Fill>
+std::vector<ChainRef> VersionedCharList::Pack(size_t count, size_t target,
+                                              const Fill& fill) {
+  const size_t pieces = (count + target - 1) / target;
   std::vector<ChainRef> out;
   out.reserve(pieces);
-  auto from = items.begin();
+  size_t from = 0;
   for (size_t p = 0; p < pieces; ++p) {
-    auto to = from + static_cast<std::ptrdiff_t>((items.end() - from) /
-                                                 (pieces - p));
+    const size_t to = from + (count - from) / (pieces - p);
     ChainRef ref{std::make_shared<ChainNode>(epoch_)};
-    std::vector<T> part(std::make_move_iterator(from),
-                        std::make_move_iterator(to));
-    if constexpr (std::is_same_v<T, SnapChar>) {
-      ref.node->chars = std::move(part);
-    } else {
-      ref.node->kids = std::move(part);
-    }
+    fill(*ref.node, from, to);
     Summarize(ref);
     out.push_back(std::move(ref));
     from = to;
@@ -356,11 +426,26 @@ std::vector<ChainRef> VersionedCharList::Pack(std::vector<T> items,
   return out;
 }
 
-void VersionedCharList::Rebuild(std::vector<SnapChar> chain) {
+std::vector<ChainRef> VersionedCharList::PackKids(std::vector<ChainRef> kids) {
+  return Pack(kids.size(), kMaxKids,
+              [&](ChainNode& node, size_t from, size_t to) {
+                node.kids.assign(std::make_move_iterator(kids.begin() + from),
+                                 std::make_move_iterator(kids.begin() + to));
+              });
+}
+
+void VersionedCharList::Rebuild(const std::vector<ChainChar>& chain) {
   Clear();
   if (chain.empty()) return;
-  std::vector<ChainRef> level = Pack(std::move(chain), kLeafTarget);
-  while (level.size() > 1) level = Pack(std::move(level), kMaxKids);
+  std::vector<ChainRef> level =
+      Pack(chain.size(), kLeafTarget,
+           [&](ChainNode& leaf, size_t from, size_t to) {
+             leaf.chars.reserve(to - from);
+             for (size_t i = from; i < to; ++i) {
+               leaf.Append(chain[i], chain[i].source);
+             }
+           });
+  while (level.size() > 1) level = PackKids(std::move(level));
   root_ = std::move(level.front());
 }
 
@@ -371,9 +456,16 @@ void VersionedCharList::SplitIfOversize(ChainRef& ref,
   ChainNode* n = ref.node.get();
   std::vector<ChainRef> pieces;
   if (n->leaf() && n->chars.size() > kLeafMax) {
-    pieces = Pack(std::move(n->chars), kLeafTarget);
+    // Each piece gets a provenance table of its own chars' sources.
+    pieces = Pack(n->chars.size(), kLeafTarget,
+                  [n](ChainNode& leaf, size_t from, size_t to) {
+                    leaf.chars.reserve(to - from);
+                    for (size_t i = from; i < to; ++i) {
+                      leaf.Append(n->chars[i], n->SourceOf(n->chars[i]));
+                    }
+                  });
   } else if (!n->leaf() && n->kids.size() > kMaxKids) {
-    pieces = Pack(std::move(n->kids), kMaxKids);
+    pieces = PackKids(std::move(n->kids));
   } else {
     Summarize(ref);
     return;
@@ -384,7 +476,7 @@ void VersionedCharList::SplitIfOversize(ChainRef& ref,
 }
 
 void VersionedCharList::InsertIn(ChainRef& ref, size_t after,
-                                 const std::vector<SnapChar>& run,
+                                 const std::vector<ChainChar>& run,
                                  std::vector<ChainRef>* split) {
   ChainNode* n = Own(ref);
   if (n->leaf()) {
@@ -394,6 +486,9 @@ void VersionedCharList::InsertIn(ChainRef& ref, size_t after,
     }
     n->chars.insert(n->chars.begin() + static_cast<std::ptrdiff_t>(at),
                     run.begin(), run.end());
+    for (size_t i = 0; i < run.size(); ++i) {
+      n->chars[at + i].src = n->Intern(run[i].source);
+    }
   } else {
     // The child holding the after-th live char (the first for after == 0).
     size_t i = 0;
@@ -411,7 +506,7 @@ void VersionedCharList::InsertIn(ChainRef& ref, size_t after,
 }
 
 void VersionedCharList::InsertRun(size_t live_pos,
-                                  const std::vector<SnapChar>& run) {
+                                  const std::vector<ChainChar>& run) {
   assert(live_pos <= live_size());
   if (run.empty()) return;
   if (root_.node == nullptr) root_.node = std::make_shared<ChainNode>(epoch_);
@@ -420,7 +515,7 @@ void VersionedCharList::InsertRun(size_t live_pos,
   // The root split: grow the tree by a level (or more, for a long run).
   while (!split.empty()) {
     split.insert(split.begin(), std::move(root_));
-    std::vector<ChainRef> level = Pack(std::move(split), kMaxKids);
+    std::vector<ChainRef> level = PackKids(std::move(split));
     root_ = std::move(level.front());
     split.assign(std::make_move_iterator(level.begin() + 1),
                  std::make_move_iterator(level.end()));
@@ -505,13 +600,17 @@ size_t VersionedCharList::SetDeleted(std::vector<uint64_t> ids,
 }
 
 uint64_t VersionedCharList::PurgeBelow(Version before) {
-  std::vector<SnapChar> kept;
+  std::vector<ChainChar> kept;
   kept.reserve(chain_size());
-  ForEachChar(root_.node.get(), [&](const SnapChar& c) {
-    if (c.deleted == 0 || c.deleted > before) kept.push_back(c);
+  ForEachLeaf(root_.node.get(), [&](const ChainNode& leaf) {
+    for (const SnapChar& c : leaf.chars) {
+      if (c.deleted == 0 || c.deleted > before) {
+        kept.push_back(Resolved(leaf, c));
+      }
+    }
   });
   const uint64_t purged = chain_size() - kept.size();
-  if (purged > 0) Rebuild(std::move(kept));
+  if (purged > 0) Rebuild(kept);
   return purged;
 }
 

@@ -38,20 +38,39 @@ struct CharSource {
   std::string external;
 };
 
-/// One character of the version-stamped chain as captured by the MVCC read
-/// path: identity, code point, version interval, copy-paste provenance.
-/// Author / timestamp / deleted_by / origin metadata stays record-only —
-/// lineage reads (`CharAt`, `RangeInfo`, `FullChain`) keep the locked record
-/// path.
+/// One character of the version-stamped chain as a leaf of the chain tree
+/// stores it: identity, code point, version interval, and where its
+/// copy-paste provenance sits. Author / timestamp / deleted_by / origin
+/// metadata stays record-only — lineage reads (`CharAt`, `RangeInfo`,
+/// `FullChain`) keep the locked record path.
+///
+/// Every whole-chain walk (text, time travel, search indexing) and every
+/// leaf clone touches each char of the leaves it crosses, tombstones
+/// included, so the layout is kept to 32 bytes, two to a cache line:
+///
+///   offset  0  id        (8)
+///   offset  8  inserted  (8)
+///   offset 16  deleted   (8)
+///   offset 24  cp        (4)
+///   offset 28  src       (4)  provenance slot in the leaf
 struct SnapChar {
   uint64_t id = 0;
   Version inserted = 0;
   Version deleted = 0;  // 0 = live
   uint32_t cp = 0;
-  // Null for a character typed here. Most characters have none, so it
-  // lives out of line: 48 bytes a char keeps whole-chain walks
-  // memory-light. Consecutive characters of one import share one copy.
-  std::shared_ptr<const CharSource> src;
+  /// 0 for a character typed here; otherwise 1 + the index of its
+  /// provenance in its leaf's `sources`. Meaningless outside a leaf.
+  uint32_t src = 0;
+};
+static_assert(sizeof(SnapChar) == 32, "two chain chars per cache line");
+
+/// A char handed into or out of the chain tree (`InsertRun`, `Rebuild`,
+/// `LiveRange`, `Chars`), with its provenance resolved. Its `src` slot
+/// stays 0.
+struct ChainChar : SnapChar {
+  /// Null for a character typed here. Consecutive characters of one import
+  /// share one copy.
+  std::shared_ptr<const CharSource> source;
 };
 
 struct ChainNode;
@@ -78,8 +97,18 @@ struct ChainNode {
   /// mutated again: the writer clones it first.
   uint64_t epoch;
   std::vector<SnapChar> chars;  // leaf only
-  std::vector<ChainRef> kids;   // internal only
+  /// Leaf only: the provenance its chars point at through `SnapChar::src`.
+  /// Most leaves hold no pasted or imported char, and so an empty table.
+  std::vector<std::shared_ptr<const CharSource>> sources;
+  std::vector<ChainRef> kids;  // internal only
   bool leaf() const { return kids.empty(); }
+  /// The provenance of `c`, one of this leaf's chars; null for none.
+  const std::shared_ptr<const CharSource>& SourceOf(const SnapChar& c) const;
+  /// The `SnapChar::src` slot for `source` in this leaf, adding it to the
+  /// table unless it is the last entry already (a run of one import).
+  uint32_t Intern(const std::shared_ptr<const CharSource>& source);
+  /// Appends `c` with provenance `source`.
+  void Append(SnapChar c, const std::shared_ptr<const CharSource>& source);
 };
 
 /// A read-only view of one chain tree. Its walks are the only copy: the
@@ -95,9 +124,10 @@ class CharTree {
   // levels above the leaves. The leaf size trades that clone against
   // whole-document walks (search indexing, time travel), which are bound
   // by memory latency at leaf boundaries once edits have scattered the
-  // leaves over the heap. Chain-only microbenchmark, 1M chars after 300k
-  // random one-char inserts, each published (4-vCPU Xeon VM), leaf target
-  // 64 / 128 / 256: keystroke ~6 / 7 / 10 us, Text() ~30 / 21 / 15 ms.
+  // leaves over the heap. Chain-only microbenchmark with 32-byte chars,
+  // 1M chars after 300k random one-char inserts, each published, -O2
+  // (4-vCPU Xeon VM), leaf target 64 / 128 / 256: keystroke ~4.2 / 4.2 /
+  // 5.7 us, Text() ~15 / 11 / 8.3 ms.
   static constexpr size_t kLeafTarget = 256;
   static constexpr size_t kLeafMax = 2 * kLeafTarget;
   static constexpr size_t kMaxKids = 32;
@@ -113,18 +143,19 @@ class CharTree {
   /// Levels from the root to the leaves; 0 for an empty tree.
   size_t height() const;
 
-  /// The live character at `pos`; precondition pos < live_size().
+  /// The live character at `pos` (its `src` slot only means something
+  /// in its leaf); precondition pos < live_size().
   const SnapChar& LiveAt(size_t pos) const;
   std::string Text() const;
   /// Precondition pos + len <= live_size().
   std::string TextRange(size_t pos, size_t len) const;
   /// Live characters [pos, pos+len) in order, with provenance.
-  std::vector<SnapChar> LiveRange(size_t pos, size_t len) const;
+  std::vector<ChainChar> LiveRange(size_t pos, size_t len) const;
   /// Text as of `version`: chars with inserted <= version and not yet
   /// deleted at it.
   std::string TextAtVersion(Version version) const;
-  /// Every char in chain order, tombstones included.
-  std::vector<SnapChar> Chars() const;
+  /// Every char in chain order, tombstones included, with provenance.
+  std::vector<ChainChar> Chars() const;
   /// Every leaf's slot in chain order, found without loading a leaf; the
   /// pointers stay valid while this object does.
   std::vector<const ChainRef*> Leaves() const;
@@ -135,8 +166,9 @@ class CharTree {
 
 /// Checks the structural invariants of the tree under `root`: each child
 /// slot's counts and max id equal its subtree's, every node but the root
-/// is at least half full and none is over capacity, and all leaves are at
-/// the same depth. Returns kCorruption naming the first breach.
+/// is at least half full and none is over capacity, all leaves are at the
+/// same depth, and every char's provenance slot is inside its leaf's table.
+/// Returns kCorruption naming the first breach.
 Status CheckChainTree(const ChainRef& root);
 
 class SnapshotTracker;
@@ -174,7 +206,7 @@ class CharListSnapshot {
   /// Text as of `version` — kFailedPrecondition below the purge floor.
   Result<std::string> TextAtVersion(Version version) const;
   /// Live characters [pos, pos+len) in order, with provenance.
-  Result<std::vector<SnapChar>> LiveRange(size_t pos, size_t len) const;
+  Result<std::vector<ChainChar>> LiveRange(size_t pos, size_t len) const;
 
  private:
   const DocumentInfo info_;
@@ -241,11 +273,11 @@ class VersionedCharList : public CharTree {
   void Clear() { root_ = ChainRef{}; }
   /// Replaces the content with `chain` (physical order, tombstones
   /// included), bulk-loading a new tree.
-  void Rebuild(std::vector<SnapChar> chain);
+  void Rebuild(const std::vector<ChainChar>& chain);
   /// Inserts `run` directly after the live character at live_pos-1 (at the
   /// chain's start for live_pos == 0) — where the record layer's origin
   /// order puts new characters.
-  void InsertRun(size_t live_pos, const std::vector<SnapChar>& run);
+  void InsertRun(size_t live_pos, const std::vector<ChainChar>& run);
   /// Tombstones the live characters [live_pos, live_pos+len).
   void TombstoneRange(size_t live_pos, size_t len, Version deleted);
   /// Sets `deleted` on every char in `ids` (0 revives a tombstone) whose
@@ -265,10 +297,11 @@ class VersionedCharList : public CharTree {
 
  private:
   ChainNode* Own(ChainRef& ref);
-  template <typename T>
-  std::vector<ChainRef> Pack(std::vector<T> items, size_t target);
+  template <typename Fill>
+  std::vector<ChainRef> Pack(size_t count, size_t target, const Fill& fill);
+  std::vector<ChainRef> PackKids(std::vector<ChainRef> kids);
   void SplitIfOversize(ChainRef& ref, std::vector<ChainRef>* split);
-  void InsertIn(ChainRef& ref, size_t after, const std::vector<SnapChar>& run,
+  void InsertIn(ChainRef& ref, size_t after, const std::vector<ChainChar>& run,
                 std::vector<ChainRef>* split);
   void TombstoneIn(ChainRef& ref, size_t* skip, size_t* remaining,
                    Version deleted);

@@ -95,17 +95,17 @@ std::shared_ptr<const CharSource> SourceOf(
 /// Copy's capture of `c` from document `doc`. Provenance points at the
 /// *original* character: if `c` was itself pasted, keep its source;
 /// otherwise `c` is the source.
-PasteChar CopyOf(const SnapChar& c, DocumentId doc) {
+PasteChar CopyOf(const ChainChar& c, DocumentId doc) {
   PasteChar pc;
   pc.cp = c.cp;
-  if (c.src != nullptr && c.src->doc != 0) {
-    pc.src_doc = DocumentId(c.src->doc);
-    pc.src_char = CharId(c.src->char_id);
+  if (c.source != nullptr && c.source->doc != 0) {
+    pc.src_doc = DocumentId(c.source->doc);
+    pc.src_char = CharId(c.source->char_id);
   } else {
     pc.src_doc = doc;
     pc.src_char = CharId(c.id);
   }
-  if (c.src != nullptr) pc.src_external = c.src->external;
+  if (c.source != nullptr) pc.src_external = c.source->external;
   return pc;
 }
 
@@ -148,7 +148,7 @@ Result<RecordId> UpdateIndexed(Transaction* txn, HeapTable* table,
 /// directly after its origin, where the insert put it. Returns the indexes
 /// of `chars` in chain order (`origins[i]` belongs to `chars[i]`); a
 /// duplicate id, an origin outside the document or a cycle is kCorruption.
-Result<std::vector<size_t>> OriginOrder(const std::vector<SnapChar>& chars,
+Result<std::vector<size_t>> OriginOrder(const std::vector<ChainChar>& chars,
                                         const std::vector<uint64_t>& origins) {
   const size_t n = chars.size();
   auto id = [&](size_t i) { return chars[i].id; };
@@ -319,7 +319,7 @@ Status TextStore::LoadHandle(DocHandle* handle, DocumentId doc) {
   for (size_t i = 0; i < stored->chars.size(); ++i) {
     handle->char_rids[stored->chars[i].id] = stored->rids[i];
   }
-  handle->chain.Rebuild(std::move(stored->chars));
+  handle->chain.Rebuild(stored->chars);
   handle->loaded = true;
   return Status::OK();
 }
@@ -331,12 +331,12 @@ Result<TextStore::StoredChain> TextStore::ReadChain(DocumentId doc) {
         rids.push_back(RecordId::Unpack(packed));
         return true;
       }));
-  std::vector<SnapChar> chars(rids.size());
+  std::vector<ChainChar> chars(rids.size());
   std::vector<uint64_t> origins(rids.size());
   for (size_t i = 0; i < rids.size(); ++i) {
     auto rec = chars_table_->Get(rids[i]);
     if (!rec.ok()) return rec.status();
-    SnapChar& c = chars[i];
+    ChainChar& c = chars[i];
     c.id = rec->GetUint(kCcId);
     origins[i] = rec->GetUint(kCcOrigin);
     c.cp = static_cast<uint32_t>(rec->GetUint(kCcCp));
@@ -344,9 +344,9 @@ Result<TextStore::StoredChain> TextStore::ReadChain(DocumentId doc) {
     c.deleted = rec->GetUint(kCcDelVer);
     // Records of one paste sit next to each other in the heap, so they
     // share one provenance copy here as they do in the chain.
-    c.src = SourceOf(rec->GetUint(kCcSrcDoc), rec->GetUint(kCcSrcChar),
-                     rec->GetString(kCcSrcExt),
-                     i > 0 ? chars[i - 1].src : nullptr);
+    c.source = SourceOf(rec->GetUint(kCcSrcDoc), rec->GetUint(kCcSrcChar),
+                        rec->GetString(kCcSrcExt),
+                        i > 0 ? chars[i - 1].source : nullptr);
   }
   auto order = OriginOrder(chars, origins);
   if (!order.ok()) return order.status();
@@ -455,8 +455,8 @@ Status TextStore::CheckIntegrity() {
           }
           auto stored = ReadChain(doc);
           if (!stored.ok()) return stored.status();
-          const std::vector<SnapChar> cached = handle->chain.Chars();
-          auto same = [](const SnapChar& a, const SnapChar& b) {
+          const std::vector<ChainChar> cached = handle->chain.Chars();
+          auto same = [](const ChainChar& a, const ChainChar& b) {
             return a.id == b.id && a.cp == b.cp && a.inserted == b.inserted &&
                    a.deleted == b.deleted;
           };
@@ -709,7 +709,7 @@ Status TextStore::InsertCharsAt(Transaction* txn, DocHandle* handle,
   // for pos == 0): that char is the first new char's origin, and each next
   // one's origin is the char before it.
   uint64_t origin = pos > 0 ? handle->chain.LiveAt(pos - 1).id : 0;
-  std::vector<SnapChar> run;
+  std::vector<ChainChar> run;
   run.reserve(chars.size());
   for (const PasteChar& pc : chars) {
     const uint64_t id = next_char_id_.fetch_add(1);
@@ -721,10 +721,11 @@ Status TextStore::InsertCharsAt(Transaction* txn, DocHandle* handle,
     handle->char_rids[id] = *rid;
     TENDAX_RETURN_IF_ERROR(
         IndexEntry(txn, doc_chars_, handle->id.value, rid->Pack(), true));
-    run.push_back(SnapChar{id, new_version, 0, pc.cp,
-                           SourceOf(pc.src_doc.value, pc.src_char.value,
-                                    pc.src_external,
-                                    run.empty() ? nullptr : run.back().src)});
+    run.push_back(ChainChar{{id, new_version, 0, pc.cp},
+                            SourceOf(pc.src_doc.value, pc.src_char.value,
+                                     pc.src_external,
+                                     run.empty() ? nullptr
+                                                 : run.back().source)});
     result->chars.push_back(CharId(id));
     origin = id;
   }
@@ -744,7 +745,7 @@ Result<EditResult> TextStore::InsertText(UserId user, DocumentId doc,
 
 Result<std::vector<PasteChar>> TextStore::Copy(UserId user, DocumentId doc,
                                                size_t pos, size_t len) {
-  std::vector<SnapChar> range;
+  std::vector<ChainChar> range;
   Status st;
   if (snapshots_enabled_.load(std::memory_order_relaxed)) {
     auto snap = AcquireSnapshot(doc);
@@ -782,7 +783,7 @@ Result<std::vector<PasteChar>> TextStore::Copy(UserId user, DocumentId doc,
   if (!st.ok()) return st;
   std::vector<PasteChar> out;
   out.reserve(range.size());
-  for (const SnapChar& c : range) out.push_back(CopyOf(c, doc));
+  for (const ChainChar& c : range) out.push_back(CopyOf(c, doc));
   return out;
 }
 
@@ -804,7 +805,7 @@ Result<EditResult> TextStore::DeleteRange(UserId user, DocumentId doc,
         if (len > size || pos > size - len) {
           return Status::OutOfRange("delete range beyond document length");
         }
-        for (const SnapChar& c : h->chain.LiveRange(pos, len)) {
+        for (const ChainChar& c : h->chain.LiveRange(pos, len)) {
           auto rec = ReadCharRecord(h, c.id);
           if (!rec.ok()) return rec.status();
           rec->value(kCcDelVer) = uint64_t{out->version};
@@ -986,7 +987,7 @@ Result<std::vector<CharInfo>> TextStore::LockedRangeInfo(DocHandle* h,
                                                          size_t len) {
   std::vector<CharInfo> out;
   out.reserve(len);
-  for (const SnapChar& c : h->chain.LiveRange(pos, len)) {
+  for (const ChainChar& c : h->chain.LiveRange(pos, len)) {
     auto rec = ReadCharRecord(h, c.id);
     if (!rec.ok()) return rec.status();
     out.push_back(CharInfoFromRecord(*rec));
@@ -1001,7 +1002,7 @@ Result<std::vector<CharInfo>> TextStore::FullChain(DocumentId doc) {
   MutexLock lock(h->mu);
   std::vector<CharInfo> out;
   out.reserve(h->chain.chain_size());
-  for (const SnapChar& c : h->chain.Chars()) {
+  for (const ChainChar& c : h->chain.Chars()) {
     auto rec = ReadCharRecord(h, c.id);
     if (!rec.ok()) return rec.status();
     out.push_back(CharInfoFromRecord(*rec));
@@ -1016,8 +1017,8 @@ Result<uint64_t> TextStore::PurgeHistory(UserId user, DocumentId doc,
       user, doc, ChangeKind::kMetadataChanged,
       [&](Transaction* txn, DocHandle* h, EditResult*) -> Status {
         purged = 0;
-        const std::vector<SnapChar> chain = h->chain.Chars();
-        auto purgeable = [&](const SnapChar& c) {
+        const std::vector<ChainChar> chain = h->chain.Chars();
+        auto purgeable = [&](const ChainChar& c) {
           return c.deleted != 0 && c.deleted <= before;
         };
         if (std::none_of(chain.begin(), chain.end(), purgeable)) {
@@ -1032,7 +1033,7 @@ Result<uint64_t> TextStore::PurgeHistory(UserId user, DocumentId doc,
         // is their chain order whatever their ids.
         Version max_del = 0;
         uint64_t predecessor = 0;
-        for (const SnapChar& c : chain) {
+        for (const ChainChar& c : chain) {
           auto it = h->char_rids.find(c.id);
           if (it == h->char_rids.end()) {
             return Status::Internal("char chain cache out of sync");

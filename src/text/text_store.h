@@ -277,7 +277,7 @@ class TextStore {
       TENDAX_REQUIRES(handle->mu);
   /// A document's char records and their rids, in origin order.
   struct StoredChain {
-    std::vector<SnapChar> chars;
+    std::vector<ChainChar> chars;
     std::vector<RecordId> rids;
   };
   Result<StoredChain> ReadChain(DocumentId doc);

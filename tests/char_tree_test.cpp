@@ -15,8 +15,8 @@
 namespace tendax {
 namespace {
 
-SnapChar Char(uint64_t id, uint32_t cp, Version inserted = 1) {
-  SnapChar c;
+ChainChar Char(uint64_t id, uint32_t cp, Version inserted = 1) {
+  ChainChar c;
   c.id = id;
   c.cp = cp;
   c.inserted = inserted;
@@ -25,7 +25,7 @@ SnapChar Char(uint64_t id, uint32_t cp, Version inserted = 1) {
 
 /// Appends `n` live chars with ids first_id.. and cycling lowercase letters.
 void Append(VersionedCharList* list, size_t n, uint64_t first_id = 1) {
-  std::vector<SnapChar> run;
+  std::vector<ChainChar> run;
   for (size_t i = 0; i < n; ++i) {
     run.push_back(Char(first_id + i, static_cast<uint32_t>('a' + (i % 26))));
   }
@@ -123,7 +123,7 @@ TEST(CharTreeTest, InsertGoesAfterTheLiveNeighbourBeforeTombstones) {
   EXPECT_EQ(list.Text(), "aXc");
   EXPECT_EQ(list.TextAtVersion(1), "abc");
   std::vector<uint64_t> order;
-  for (const SnapChar& c : list.LiveRange(0, 3)) order.push_back(c.id);
+  for (const ChainChar& c : list.LiveRange(0, 3)) order.push_back(c.id);
   EXPECT_EQ(order, (std::vector<uint64_t>{1, 4, 3}));
   list.SetDeleted({2}, 0);
   EXPECT_EQ(list.Text(), "aXbc");
@@ -147,7 +147,7 @@ TEST(CharTreeTest, FrozenRootIsNeverMutated) {
 TEST(CharTreeTest, LongRunGrowsTheTreeByLevels) {
   VersionedCharList list;
   Append(&list, 10);
-  std::vector<SnapChar> run;
+  std::vector<ChainChar> run;
   const size_t n = CharTree::kLeafTarget * CharTree::kMaxKids * 3;
   for (size_t i = 0; i < n; ++i) run.push_back(Char(100 + i, 'r'));
   list.InsertRun(5, run);
@@ -219,16 +219,51 @@ TEST(CharTreeTest, CheckerRejectsUnderfullNodesAndUnevenDepth) {
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
 }
 
+TEST(CharTreeTest, CheckerRejectsProvenanceSlotOutsideItsLeaf) {
+  VersionedCharList list;
+  std::vector<ChainChar> run;
+  auto import = std::make_shared<const CharSource>(CharSource{0, 0, "x"});
+  for (uint64_t i = 0; i < 3 * CharTree::kLeafTarget; ++i) {
+    run.push_back(Char(i + 1, 'p'));
+    if (i % 2 == 0) run.back().source = import;
+  }
+  list.InsertRun(0, run);
+  const ChainRef good = list.Freeze().root();
+  ASSERT_TRUE(CheckChainTree(good).ok());
+  ASSERT_FALSE(good.node->leaf());
+  const ChainNode& first = *good.node->kids[0].node;
+  ASSERT_EQ(first.sources.size(), 1u);
+  EXPECT_EQ(first.SourceOf(first.chars[0]), import);
+  EXPECT_EQ(first.SourceOf(first.chars[1]), nullptr);
+
+  // One char names a slot one past the end of its leaf's table.
+  auto leaf = std::make_shared<ChainNode>(first);
+  leaf->chars[1].src = static_cast<uint32_t>(leaf->sources.size() + 1);
+  auto root = std::make_shared<ChainNode>(*good.node);
+  root->kids[0].node = leaf;
+  ChainRef bad = good;
+  bad.node = root;
+  Status st = CheckChainTree(bad);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.message().find("provenance slot"), std::string::npos)
+      << st.ToString();
+
+  // The slot is in range again, but the table entry it names is gone.
+  leaf->chars[1].src = 1;
+  leaf->sources[0] = nullptr;
+  EXPECT_TRUE(CheckChainTree(bad).IsCorruption());
+}
+
 // ---------- differential test against a flat model ----------
 
 /// The flat model the tree must agree with: the chain as one vector.
 struct FlatChain {
-  std::vector<SnapChar> chars;
+  std::vector<ChainChar> chars;
 
   size_t live() const {
     return static_cast<size_t>(std::count_if(
         chars.begin(), chars.end(),
-        [](const SnapChar& c) { return c.deleted == 0; }));
+        [](const ChainChar& c) { return c.deleted == 0; }));
   }
   /// Physical index of the live char at `pos`.
   size_t PhysicalOf(size_t pos) const {
@@ -238,9 +273,9 @@ struct FlatChain {
     ADD_FAILURE() << "live position out of range";
     return chars.size();
   }
-  std::vector<SnapChar> LiveRange(size_t pos, size_t len) const {
-    std::vector<SnapChar> out;
-    for (const SnapChar& c : chars) {
+  std::vector<ChainChar> LiveRange(size_t pos, size_t len) const {
+    std::vector<ChainChar> out;
+    for (const ChainChar& c : chars) {
       if (c.deleted != 0) continue;
       if (pos > 0) {
         --pos;
@@ -253,7 +288,7 @@ struct FlatChain {
   }
   std::string TextAtVersion(Version v) const {
     std::string out;
-    for (const SnapChar& c : chars) {
+    for (const ChainChar& c : chars) {
       if (c.inserted <= v && (c.deleted == 0 || c.deleted > v)) {
         AppendUtf8(&out, c.cp);
       }
@@ -262,16 +297,28 @@ struct FlatChain {
   }
   std::string Text() const {
     std::string out;
-    for (const SnapChar& c : chars) {
+    for (const ChainChar& c : chars) {
       if (c.deleted == 0) AppendUtf8(&out, c.cp);
     }
     return out;
   }
 };
 
-bool SameChar(const SnapChar& a, const SnapChar& b) {
+/// Same char, provenance included: the very same source object, which the
+/// tree hands back out of its leaf tables.
+bool SameChar(const ChainChar& a, const ChainChar& b) {
   return a.id == b.id && a.cp == b.cp && a.inserted == b.inserted &&
-         a.deleted == b.deleted && a.src == b.src;
+         a.deleted == b.deleted && a.src == 0 && b.src == 0 &&
+         a.source == b.source;
+}
+
+/// Compares whole chains, tombstones and provenance included.
+void ExpectSameChain(const std::vector<ChainChar>& got,
+                     const std::vector<ChainChar>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(SameChar(got[i], want[i])) << "chain index " << i;
+  }
 }
 
 class ChainHarness {
@@ -291,6 +338,7 @@ class ChainHarness {
  private:
   struct Frozen {
     CharTree tree;
+    std::vector<ChainChar> chars;
     std::string text;
     Version at = 0;
     std::string text_at;
@@ -301,14 +349,18 @@ class ChainHarness {
   }
   bool Chance(double p) { return std::bernoulli_distribution(p)(rng_); }
 
-  SnapChar Fresh() {
-    SnapChar c = Char(next_id_++, static_cast<uint32_t>('a' + Uniform(26)),
-                      version_);
+  /// A fresh char; some carry provenance: a new source, or one already in
+  /// the chain (the same object, as a second paste of one import shares).
+  ChainChar Fresh() {
+    ChainChar c = Char(next_id_++, static_cast<uint32_t>('a' + Uniform(26)),
+                       version_);
     if (Chance(0.2)) c.cp = 0x00E9 + static_cast<uint32_t>(Uniform(3));
     if (Chance(0.1)) {
-      c.src = std::make_shared<const CharSource>(
+      c.source = std::make_shared<const CharSource>(
           CharSource{1 + Uniform(5), 1 + Uniform(1000),
                      Chance(0.5) ? "https://example.org/" : ""});
+    } else if (Chance(0.05) && !model_.chars.empty()) {
+      c.source = model_.chars[Uniform(model_.chars.size())].source;
     }
     return c;
   }
@@ -317,7 +369,7 @@ class ChainHarness {
     ++version_;
     model_.chars.clear();
     for (size_t i = 0; i < n; ++i) {
-      SnapChar c = Fresh();
+      ChainChar c = Fresh();
       c.inserted = 1 + Uniform(version_);
       if (Chance(0.15)) c.deleted = c.inserted + Uniform(version_ - c.inserted + 1);
       if (c.deleted == c.inserted && c.deleted != 0 && Chance(0.5)) {
@@ -340,8 +392,15 @@ class ChainHarness {
       size_t len = 1;
       if (Chance(0.15)) len = 1 + Uniform(300);
       if (Chance(0.02)) len = 1 + Uniform(6'000);
-      std::vector<SnapChar> run;
+      std::vector<ChainChar> run;
       for (size_t i = 0; i < len; ++i) run.push_back(Fresh());
+      if (len > 1 && Chance(0.3)) {
+        // One import: the whole run shares one source, in one table slot
+        // per leaf the run lands in.
+        auto import = std::make_shared<const CharSource>(
+            CharSource{0, 0, "import-" + std::to_string(version_)});
+        for (ChainChar& c : run) c.source = import;
+      }
       const size_t pos = Uniform(live + 1);
       const size_t at = pos == 0 ? 0 : model_.PhysicalOf(pos - 1) + 1;
       model_.chars.insert(model_.chars.begin() + at, run.begin(), run.end());
@@ -355,7 +414,7 @@ class ChainHarness {
       size_t len = 1 + Uniform(std::min<size_t>(live - pos, 3));
       if (Chance(0.2)) len = 1 + Uniform(std::min<size_t>(live - pos, 500));
       size_t skip = pos, left = len;
-      for (SnapChar& c : model_.chars) {
+      for (ChainChar& c : model_.chars) {
         if (c.deleted != 0 || left == 0) continue;
         if (skip > 0) {
           --skip;
@@ -379,7 +438,7 @@ class ChainHarness {
         if (Chance(0.5)) {
           idx = static_cast<size_t>(
               std::max_element(model_.chars.begin(), model_.chars.end(),
-                               [](const SnapChar& a, const SnapChar& b) {
+                               [](const ChainChar& a, const ChainChar& b) {
                                  return a.id < b.id;
                                }) -
               model_.chars.begin());
@@ -390,7 +449,7 @@ class ChainHarness {
       std::vector<uint64_t> sorted = ids;
       std::sort(sorted.begin(), sorted.end());
       size_t expect = 0;
-      for (SnapChar& c : model_.chars) {
+      for (ChainChar& c : model_.chars) {
         if (!std::binary_search(sorted.begin(), sorted.end(), c.id)) continue;
         if ((c.deleted == 0) == (to == 0)) continue;
         c.deleted = to;
@@ -403,7 +462,7 @@ class ChainHarness {
     if (pick < 88) {
       const Version before = Uniform(version_ + 1);
       const size_t n = model_.chars.size();
-      std::erase_if(model_.chars, [&](const SnapChar& c) {
+      std::erase_if(model_.chars, [&](const ChainChar& c) {
         return c.deleted != 0 && c.deleted <= before;
       });
       EXPECT_EQ(list_.PurgeBelow(before), n - model_.chars.size());
@@ -411,6 +470,7 @@ class ChainHarness {
     }
     Frozen f;
     f.tree = list_.Freeze();
+    f.chars = model_.chars;
     f.text = model_.Text();
     f.at = Uniform(version_ + 1);
     f.text_at = model_.TextAtVersion(f.at);
@@ -434,16 +494,23 @@ class ChainHarness {
     ASSERT_EQ(list_.Text(), model_.Text());
     const Version v = Uniform(version_ + 1);
     ASSERT_EQ(list_.TextAtVersion(v), model_.TextAtVersion(v));
+    // Every char's provenance, through splits, clones and rebuilds.
+    ExpectSameChain(list_.Chars(), model_.chars);
+    if (::testing::Test::HasFatalFailure()) return;
     if (live > 0) {
       for (int i = 0; i < 4; ++i) {
         const size_t pos = Uniform(live);
-        ASSERT_TRUE(
-            SameChar(list_.LiveAt(pos), model_.chars[model_.PhysicalOf(pos)]));
+        const SnapChar& got = list_.LiveAt(pos);
+        const ChainChar& want = model_.chars[model_.PhysicalOf(pos)];
+        ASSERT_TRUE(got.id == want.id && got.cp == want.cp &&
+                    got.inserted == want.inserted &&
+                    got.deleted == want.deleted);
+        ASSERT_TRUE(SameChar(list_.LiveRange(pos, 1)[0], want));
       }
       const size_t pos = Uniform(live);
       const size_t len = Uniform(std::min<size_t>(live - pos, 2'500) + 1);
-      const std::vector<SnapChar> got = list_.LiveRange(pos, len);
-      const std::vector<SnapChar> want = model_.LiveRange(pos, len);
+      const std::vector<ChainChar> got = list_.LiveRange(pos, len);
+      const std::vector<ChainChar> want = model_.LiveRange(pos, len);
       ASSERT_EQ(got.size(), want.size());
       std::string text;
       for (size_t i = 0; i < got.size(); ++i) {
@@ -452,11 +519,16 @@ class ChainHarness {
       }
       ASSERT_EQ(list_.TextRange(pos, len), text);
     }
-    // Every earlier snapshot still returns its original bytes.
+    // Every earlier snapshot still returns its original bytes, and one of
+    // them its original provenance, though the writer cloned its leaves.
     for (const Frozen& f : frozen_) {
       ASSERT_EQ(f.tree.Text(), f.text);
       ASSERT_EQ(f.tree.TextAtVersion(f.at), f.text_at);
       ASSERT_TRUE(CheckChainTree(f.tree.root()).ok());
+    }
+    if (!frozen_.empty()) {
+      const Frozen& f = frozen_[Uniform(frozen_.size())];
+      ExpectSameChain(f.tree.Chars(), f.chars);
     }
   }
 

@@ -27,6 +27,7 @@
 #include "testing/flaky_transport.h"
 #include "testing/schedule_controller.h"
 #include "txn/lock_manager.h"
+#include "util/checksum.h"
 #include "util/coding.h"
 
 namespace tendax {
@@ -240,17 +241,8 @@ TEST(ScopedTimerTest, RedirectOnDisarmedTimerStaysDisarmed) {
 
 // Mirrors the codec's FNV-1a so tests can craft payloads with valid
 // checksums (to reach the strict post-checksum validation paths).
-uint32_t TestFnv1a(const std::string& s) {
-  uint32_t h = 2166136261u;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 16777619u;
-  }
-  return h;
-}
-
 std::string Sealed(std::string payload) {
-  PutFixed32(&payload, TestFnv1a(payload));
+  PutFixed32(&payload, Checksum32(payload.data(), payload.size()));
   return payload;
 }
 

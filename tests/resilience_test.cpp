@@ -119,6 +119,45 @@ TEST_F(ResilienceTest, LostResponseRetryIsServedFromDedupCache) {
   EXPECT_EQ(r.client->stats().timeouts, 1u);
 }
 
+// Reads are not cached for at-most-once delivery: a time-travel reply is
+// the whole document. A lost one is simply read again.
+TEST_F(ResilienceTest, LostTimeTravelReplyIsReadAgainNotCached) {
+  DocumentId doc = MakeDoc(alice_, "tt-lost", "past");
+  auto past = server_->text()->CurrentVersion(doc);
+  ASSERT_TRUE(past.ok());
+  Remote r = MakeRemote(alice_, "tt-editor", NoFaults());
+  ASSERT_TRUE(r.client->Open(doc).ok());
+  ASSERT_TRUE(r.client->Type(doc, 4, " and present").ok());
+  const size_t cached = r.endpoint->dedup_entries();
+  EXPECT_EQ(cached, 2u);  // the open and the type
+
+  r.transport->Force(r.transport->stats().round_trips + 1,
+                     NetFault::kDropResponse);
+  auto then = r.client->GetTextAt(doc, *past);
+  ASSERT_TRUE(then.ok()) << then.status().ToString();
+  EXPECT_EQ(*then, "past") << r.transport->Describe();
+  EXPECT_EQ(r.client->stats().timeouts, 1u);
+  auto now = r.client->GetText(doc);
+  ASSERT_TRUE(now.ok()) << now.status().ToString();
+  EXPECT_EQ(*now, "past and present");
+  EXPECT_EQ(r.endpoint->dedup_entries(), cached);
+  EXPECT_EQ(r.endpoint->dedup_hits(), 0u);
+
+  // Not even for a client that keys its reads.
+  EditCommand keyed;
+  keyed.kind = CommandKind::kGetTextAt;
+  keyed.request_id = 77;
+  keyed.doc = doc;
+  keyed.pos = *past;
+  for (int i = 0; i < 2; ++i) {
+    auto reply = DecodeResponse(r.endpoint->Handle(EncodeCommand(keyed)));
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply->payload, "past");
+  }
+  EXPECT_EQ(r.endpoint->dedup_entries(), cached);
+  EXPECT_EQ(r.endpoint->dedup_hits(), 0u);
+}
+
 TEST_F(ResilienceTest, StaleDelayedRetryIsAbsorbedByDedup) {
   DocumentId doc = MakeDoc(alice_, "stale", "");
   Remote r = MakeRemote(alice_, "stale-editor", NoFaults());

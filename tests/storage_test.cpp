@@ -9,6 +9,7 @@
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 #include "storage/wal.h"
+#include "util/checksum.h"
 #include "util/coding.h"
 #include "util/random.h"
 
@@ -21,6 +22,100 @@ std::string TempPath(const std::string& name) {
   auto path = dir / name;
   std::filesystem::remove(path);
   return path.string();
+}
+
+// ---------- Checksum32 ----------
+
+// One flipped bit anywhere changes the checksum, at every tail length the
+// word loop leaves (0-15 bytes after the last 16-byte block).
+TEST(ChecksumTest, EveryBitFlipChangesItAtEveryTailLength) {
+  Random rng(11);
+  for (size_t n = 0; n <= 40; ++n) {
+    std::string data;
+    for (size_t i = 0; i < n; ++i) {
+      data.push_back(static_cast<char>(rng.Uniform(256)));
+    }
+    const uint32_t sum = Checksum32(data.data(), data.size());
+    for (size_t pos = 0; pos < n; ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        data[pos] = static_cast<char>(data[pos] ^ (1 << bit));
+        EXPECT_NE(Checksum32(data.data(), data.size()), sum)
+            << "length " << n << " byte " << pos << " bit " << bit;
+        data[pos] = static_cast<char>(data[pos] ^ (1 << bit));
+      }
+    }
+  }
+  // Trailing zero bytes are not padding: the length is in the seed.
+  const std::string zeros(9, '\0');
+  for (size_t n = 0; n < zeros.size(); ++n) {
+    EXPECT_NE(Checksum32(zeros.data(), n), Checksum32(zeros.data(), n + 1));
+  }
+}
+
+// A page's stored checksum rejects every single-bit flip of its payload
+// and of the stored checksum itself.
+TEST(ChecksumTest, PageChecksumDetectsEveryBitFlip) {
+  Random rng(4096);
+  Page page;
+  for (size_t i = 0; i < Page::payload_size(); ++i) {
+    page.payload()[i] = static_cast<char>(rng.Uniform(256));
+  }
+  page.StampChecksum();
+  ASSERT_TRUE(page.ChecksumValid());
+  auto sweep = [&](char* bytes, size_t n, const char* what) {
+    for (size_t pos = 0; pos < n; ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << bit));
+        EXPECT_FALSE(page.ChecksumValid())
+            << what << " byte " << pos << " bit " << bit;
+        bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << bit));
+      }
+    }
+  };
+  sweep(page.payload(), Page::payload_size(), "payload");
+  sweep(page.data() + kPageChecksumOffset, 4, "stored checksum");
+  EXPECT_TRUE(page.ChecksumValid());
+}
+
+// A framed WAL record (length, checksum, payload) with a payload whose
+// length is not a multiple of 8 decodes to nothing after any one flip.
+TEST(ChecksumTest, WalRecordChecksumDetectsEveryBitFlip) {
+  auto storage = std::make_shared<InMemoryLogStorage>();
+  Wal wal(storage);
+  LogRecord rec;
+  rec.type = LogType::kUpdate;
+  rec.txn = TxnId(7);
+  rec.op = UpdateOp::kUpdate;
+  rec.table_id = 3;
+  rec.rid = 0x70008;
+  rec.before = "before image";
+  for (std::string after = "a";; after.push_back('b')) {
+    LogRecord probe = rec;
+    probe.after = after;
+    std::string payload;
+    probe.EncodeTo(&payload);
+    if (payload.size() > 32 && payload.size() % 8 != 0) {
+      rec.after = after;
+      break;
+    }
+  }
+  ASSERT_TRUE(wal.Append(&rec).ok());
+  ASSERT_TRUE(wal.FlushAll().ok());
+  std::string framed;
+  ASSERT_TRUE(storage->ReadAll(&framed).ok());
+  ASSERT_NE((framed.size() - 8) % 8, 0u);
+  std::vector<LogRecord> out;
+  Wal::DecodeLogBuffer(framed, &out);
+  ASSERT_EQ(out.size(), 1u);
+  for (size_t pos = 0; pos < framed.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string damaged = framed;
+      damaged[pos] = static_cast<char>(damaged[pos] ^ (1 << bit));
+      out.clear();
+      Wal::DecodeLogBuffer(damaged, &out);
+      EXPECT_TRUE(out.empty()) << "flip at byte " << pos << " bit " << bit;
+    }
+  }
 }
 
 // ---------- DiskManager ----------
