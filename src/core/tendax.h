@@ -127,11 +127,14 @@ class TendaxServer {
   /// Full structural integrity sweep: the underlying database (pages,
   /// tables, indexes; see `Database::CheckIntegrity`), then every open
   /// document's in-memory chain against its records (see
-  /// `TextStore::CheckIntegrity`), then the search index against the text
-  /// it indexed (see `SearchEngine::CheckIntegrity`).
+  /// `TextStore::CheckIntegrity`), then the audit aggregates against the
+  /// persisted audit trail (see `MetaStore::CheckIntegrity`), then the
+  /// search index against the text it indexed (see
+  /// `SearchEngine::CheckIntegrity`). Call at quiescence.
   Status CheckIntegrity() const {
     TENDAX_RETURN_IF_ERROR(db_->CheckIntegrity());
     TENDAX_RETURN_IF_ERROR(text_->CheckIntegrity());
+    TENDAX_RETURN_IF_ERROR(meta_->CheckIntegrity());
     return search_->CheckIntegrity();
   }
 

@@ -43,7 +43,11 @@ Result<RecordId> HeapTable::InsertBytes(Transaction* txn,
         RecordId rid{*page_id, *slot};
         auto lsn = txns_->LogUpdate(txn, UpdateOp::kInsert, table_id_,
                                     rid.Pack(), "", bytes);
-        if (!lsn.ok()) return lsn.status();
+        if (!lsn.ok()) {
+          // Unlogged, so no abort would undo it: take the record back out.
+          (void)sp.Delete(*slot);
+          return lsn.status();
+        }
         if (*lsn != kInvalidLsn) guard->set_lsn(*lsn);
         guard.MarkDirty();
         return rid;
@@ -97,7 +101,10 @@ Result<RecordId> HeapTable::Update(Transaction* txn, RecordId rid,
     if (st.ok()) {
       auto lsn = txns_->LogUpdate(txn, UpdateOp::kUpdate, table_id_,
                                   rid.Pack(), *before, after);
-      if (!lsn.ok()) return lsn.status();
+      if (!lsn.ok()) {
+        (void)sp.Update(rid.slot, *before);  // unlogged: put it back
+        return lsn.status();
+      }
       if (*lsn != kInvalidLsn) guard->set_lsn(*lsn);
       guard.MarkDirty();
       return rid;
@@ -108,7 +115,10 @@ Result<RecordId> HeapTable::Update(Transaction* txn, RecordId rid,
     // the slot, so log the move as delete + insert elsewhere.
     auto del_lsn = txns_->LogUpdate(txn, UpdateOp::kDelete, table_id_,
                                     rid.Pack(), *before, "");
-    if (!del_lsn.ok()) return del_lsn.status();
+    if (!del_lsn.ok()) {
+      (void)sp.InsertAt(rid.slot, *before);  // unlogged: put it back
+      return del_lsn.status();
+    }
     if (*del_lsn != kInvalidLsn) guard->set_lsn(*del_lsn);
     guard.MarkDirty();
   }
@@ -127,7 +137,10 @@ Status HeapTable::Delete(Transaction* txn, RecordId rid) {
   TENDAX_RETURN_IF_ERROR(sp.Delete(rid.slot));
   auto lsn = txns_->LogUpdate(txn, UpdateOp::kDelete, table_id_, rid.Pack(),
                               *before, "");
-  if (!lsn.ok()) return lsn.status();
+  if (!lsn.ok()) {
+    (void)sp.InsertAt(rid.slot, *before);  // unlogged: put it back
+    return lsn.status();
+  }
   if (*lsn != kInvalidLsn) guard->set_lsn(*lsn);
   guard.MarkDirty();
   return Status::OK();

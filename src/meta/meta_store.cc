@@ -21,6 +21,35 @@ Schema PropsSchema() {
                  {"value", ColumnType::kString}});
 }
 
+Record RecordFromEntry(const AuditEntry& e) {
+  return Record({e.seq, e.doc.value, e.user.value,
+                 uint64_t{static_cast<uint64_t>(e.kind)}, uint64_t{e.at},
+                 e.detail});
+}
+
+void ApplyToAggregates(const AuditEntry& entry,
+                       std::unordered_map<uint64_t, DocumentMeta>* aggregates) {
+  DocumentMeta& meta = (*aggregates)[entry.doc.value];
+  meta.doc = entry.doc;
+  UserTouch& touch = meta.by_user[entry.user];
+  if (entry.kind == AuditKind::kRead) {
+    meta.readers.insert(entry.user);
+    ++meta.total_reads;
+    ++touch.reads;
+    touch.last_read = std::max(touch.last_read, entry.at);
+    meta.last_read_at = std::max(meta.last_read_at, entry.at);
+  } else {
+    meta.authors.insert(entry.user);
+    ++meta.total_edits;
+    ++touch.edits;
+    touch.last_edit = std::max(touch.last_edit, entry.at);
+    if (entry.at >= meta.last_edit_at) {
+      meta.last_edit_at = entry.at;
+      meta.last_edit_by = entry.user;
+    }
+  }
+}
+
 AuditEntry EntryFromRecord(const Record& rec) {
   AuditEntry e;
   e.seq = rec.GetUint(0);
@@ -68,16 +97,14 @@ Status MetaStore::Init() {
   if (!props.ok()) return props.status();
   props_table_ = *props;
 
-  // Rebuild aggregates from the persisted trail.
   uint64_t max_seq = 0;
-  TENDAX_RETURN_IF_ERROR(
-      audit_table_->Scan([&](RecordId, const Record& rec) {
-        AuditEntry e = EntryFromRecord(rec);
-        max_seq = std::max(max_seq, e.seq);
-        ApplyToAggregates(e);
-        return true;
-      }));
+  auto trail = ReadTrail(&max_seq);
+  if (!trail.ok()) return trail.status();
   next_seq_ = max_seq + 1;
+  {
+    MutexLock lock(mu_);
+    meta_ = std::move(*trail);
+  }
   TENDAX_RETURN_IF_ERROR(
       props_table_->Scan([&](RecordId rid, const Record& rec) {
         auto key = std::make_pair(rec.GetUint(0), rec.GetString(1));
@@ -86,19 +113,53 @@ Status MetaStore::Init() {
         return true;
       }));
 
-  // Automatic capture: every committed transaction's change events become
-  // audit entries (the paper's "meta data gathered automatically").
+  // Automatic capture: every audited change event becomes an audit row in
+  // its own transaction (the paper's "meta data gathered automatically"),
+  // and the aggregates follow once that transaction has committed.
+  db_->txns()->AddPreCommitHook(
+      [this](Transaction* txn) { return WriteAuditRows(txn); });
   db_->txns()->AddCommitListener(
       [this](TxnId, UserId user, const ChangeBatch& batch) {
-        for (const ChangeEvent& ev : batch) {
-          auto kind = KindForEvent(ev.kind);
-          if (!kind.has_value()) continue;
-          // The source transaction is already committed — a failed audit
-          // append cannot be surfaced to it, only dropped.
-          (void)Append(ev.user.valid() ? ev.user : user, ev.doc, *kind,
-                       ev.detail, ev.at);
-        }
+        OnCommitted(user, batch);
       });
+  return Status::OK();
+}
+
+Result<MetaStore::Aggregates> MetaStore::ReadTrail(uint64_t* max_seq) const {
+  Aggregates aggregates;
+  TENDAX_RETURN_IF_ERROR(
+      audit_table_->Scan([&](RecordId, const Record& rec) {
+        AuditEntry e = EntryFromRecord(rec);
+        if (max_seq != nullptr) *max_seq = std::max(*max_seq, e.seq);
+        ApplyToAggregates(e, &aggregates);
+        return true;
+      }));
+  return aggregates;
+}
+
+Status MetaStore::CheckIntegrity() const {
+  auto trail = ReadTrail(nullptr);
+  if (!trail.ok()) return trail.status();
+  MutexLock lock(mu_);
+  for (const auto& [doc, meta] : *trail) {
+    auto it = meta_.find(doc);
+    if (it == meta_.end() || !(it->second == meta)) {
+      return Status::Corruption(
+          "audit aggregates of doc " + std::to_string(doc) +
+          " differ from the audit trail: trail has " +
+          std::to_string(meta.total_edits) + " edits and " +
+          std::to_string(meta.total_reads) + " reads, live has " +
+          (it == meta_.end()
+               ? std::string("none")
+               : std::to_string(it->second.total_edits) + " edits and " +
+                     std::to_string(it->second.total_reads) + " reads"));
+    }
+  }
+  if (meta_.size() != trail->size()) {
+    return Status::Corruption(
+        "audit aggregates cover " + std::to_string(meta_.size()) +
+        " documents, the audit trail " + std::to_string(trail->size()));
+  }
   return Status::OK();
 }
 
@@ -130,61 +191,66 @@ std::optional<AuditKind> MetaStore::KindForEvent(ChangeKind kind) {
   }
 }
 
-Status MetaStore::Append(UserId user, DocumentId doc, AuditKind kind,
-                         const std::string& detail, Timestamp at) {
+namespace {
+
+AuditEntry EntryForEvent(const ChangeEvent& ev, AuditKind kind,
+                         UserId txn_user) {
+  AuditEntry entry;
+  entry.seq = ev.audit_seq;
+  entry.doc = ev.doc;
+  entry.user = ev.user.valid() ? ev.user : txn_user;
+  entry.kind = kind;
+  entry.at = ev.at;
+  entry.detail = ev.detail;
+  return entry;
+}
+
+}  // namespace
+
+Status MetaStore::WriteAuditRows(Transaction* txn) {
+  for (ChangeEvent& ev : *txn->mutable_events()) {
+    auto kind = KindForEvent(ev.kind);
+    if (!kind.has_value() || !ev.doc.valid()) continue;
+    if (ev.at == 0) ev.at = db_->clock()->NowMicros();
+    ev.audit_seq = next_seq_.fetch_add(1);
+    auto rid = audit_table_->Insert(
+        txn, RecordFromEntry(EntryForEvent(ev, *kind, txn->user())));
+    if (!rid.ok()) return rid.status();
+  }
+  return Status::OK();
+}
+
+void MetaStore::OnCommitted(UserId user, const ChangeBatch& batch) {
+  for (const ChangeEvent& ev : batch) {
+    if (ev.audit_seq == 0) continue;
+    Publish(EntryForEvent(ev, *KindForEvent(ev.kind), user));
+  }
+}
+
+void MetaStore::Publish(const AuditEntry& entry) {
+  SharedList<AuditListener> listeners;
+  {
+    MutexLock lock(mu_);
+    ApplyToAggregates(entry, &meta_);
+    listeners = listeners_;
+  }
+  if (listeners == nullptr) return;
+  for (const auto& listener : *listeners) listener(entry);
+}
+
+Status MetaStore::RecordRead(UserId user, DocumentId doc) {
   if (!doc.valid()) return Status::OK();
   AuditEntry entry;
   entry.seq = next_seq_.fetch_add(1);
   entry.doc = doc;
   entry.user = user;
-  entry.kind = kind;
-  entry.at = at != 0 ? at : db_->clock()->NowMicros();
-  entry.detail = detail;
-
-  Status st = db_->txns()->RunInTxn(user, [&](Transaction* txn) {
-    return audit_table_
-        ->Insert(txn, Record({entry.seq, doc.value, user.value,
-                              uint64_t{static_cast<uint64_t>(kind)},
-                              uint64_t{entry.at}, detail}))
-        .status();
-  });
-  if (!st.ok()) return st;
-
-  ApplyToAggregates(entry);
-  std::vector<AuditListener> listeners;
-  {
-    MutexLock lock(mu_);
-    listeners = listeners_;
-  }
-  for (const auto& listener : listeners) listener(entry);
+  entry.kind = AuditKind::kRead;
+  entry.at = db_->clock()->NowMicros();
+  TENDAX_RETURN_IF_ERROR(db_->txns()->RunInTxn(user, [&](Transaction* txn) {
+    return audit_table_->Insert(txn, RecordFromEntry(entry)).status();
+  }));
+  Publish(entry);
   return Status::OK();
-}
-
-void MetaStore::ApplyToAggregates(const AuditEntry& entry) {
-  MutexLock lock(mu_);
-  DocumentMeta& meta = meta_[entry.doc.value];
-  meta.doc = entry.doc;
-  UserTouch& touch = meta.by_user[entry.user];
-  if (entry.kind == AuditKind::kRead) {
-    meta.readers.insert(entry.user);
-    ++meta.total_reads;
-    ++touch.reads;
-    touch.last_read = std::max(touch.last_read, entry.at);
-    meta.last_read_at = std::max(meta.last_read_at, entry.at);
-  } else {
-    meta.authors.insert(entry.user);
-    ++meta.total_edits;
-    ++touch.edits;
-    touch.last_edit = std::max(touch.last_edit, entry.at);
-    if (entry.at >= meta.last_edit_at) {
-      meta.last_edit_at = entry.at;
-      meta.last_edit_by = entry.user;
-    }
-  }
-}
-
-Status MetaStore::RecordRead(UserId user, DocumentId doc) {
-  return Append(user, doc, AuditKind::kRead, "", 0);
 }
 
 DocumentMeta MetaStore::Meta(DocumentId doc) const {
@@ -312,7 +378,7 @@ std::map<std::string, std::string> MetaStore::Properties(
 
 void MetaStore::AddAuditListener(AuditListener listener) {
   MutexLock lock(mu_);
-  listeners_.push_back(std::move(listener));
+  listeners_ = Appended(listeners_, std::move(listener));
 }
 
 }  // namespace tendax

@@ -18,9 +18,9 @@ constexpr PageId kInvalidPageId = UINT32_MAX;
 constexpr size_t kPageSize = 4096;
 
 /// Byte offset where page-owner data begins. The header holds the page LSN
-/// (8 bytes, recovery) and a payload checksum (4 bytes, written at flush
-/// time and verified when the page is read back — integrity enforcement);
-/// 4 bytes are reserved.
+/// (8 bytes, recovery) and a page checksum (4 bytes, written at flush time
+/// and verified when the page is read back — integrity enforcement) that
+/// covers every byte of the page but its own; 4 bytes are reserved.
 constexpr size_t kPageHeaderSize = 16;
 constexpr size_t kPageChecksumOffset = 8;
 
@@ -52,18 +52,22 @@ class Page {
   uint64_t lsn() const { return DecodeFixed64(data_); }
   void set_lsn(uint64_t lsn) { EncodeFixed64(data_, lsn); }
 
-  /// On-disk payload checksum; 0 means "not yet checksummed" (fresh page).
+  /// On-disk page checksum; 0 only on a page that was never written.
   uint32_t stored_checksum() const {
     return DecodeFixed32(data_ + kPageChecksumOffset);
   }
   void StampChecksum() {
-    EncodeFixed32(data_ + kPageChecksumOffset,
-                  Checksum32(payload(), payload_size()));
+    EncodeFixed32(data_ + kPageChecksumOffset, ComputeChecksum());
   }
-  /// True if the payload matches the stored checksum (or none is stored).
+  /// True if the page matches its stored checksum, or is all zero (a page
+  /// allocated but never written).
   bool ChecksumValid() const {
     uint32_t stored = stored_checksum();
-    return stored == 0 || stored == Checksum32(payload(), payload_size());
+    if (stored != 0) return stored == ComputeChecksum();
+    for (size_t i = 0; i < kPageSize; ++i) {
+      if (data_[i] != 0) return false;
+    }
+    return true;
   }
 
   int pin_count() const { return pin_count_; }
@@ -90,6 +94,15 @@ class Page {
 
  private:
   friend class BufferPool;
+
+  /// Checksum of the LSN, the reserved bytes and the payload: everything
+  /// but the checksum field. Never 0, which marks a never-written page.
+  uint32_t ComputeChecksum() const {
+    constexpr size_t kAfter = kPageChecksumOffset + 4;
+    uint32_t sum = Checksum32(data_, kPageChecksumOffset) ^
+                   Checksum32(data_ + kAfter, kPageSize - kAfter);
+    return sum != 0 ? sum : 1;
+  }
 
   char data_[kPageSize];
   PageId id_ = kInvalidPageId;

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -97,25 +98,44 @@ bool LogRecord::DecodeFrom(Slice input, LogRecord* out) {
 
 Status InMemoryLogStorage::Append(const Slice& data) {
   MutexLock lock(mu_);
-  buffer_.append(data.data(), data.size());
+  const char* p = data.data();
+  size_t left = data.size();
+  while (left > 0) {
+    const size_t offset = size_ % kBlockBytes;
+    if (size_ == blocks_.size() * kBlockBytes) {
+      blocks_.push_back(std::make_unique_for_overwrite<char[]>(kBlockBytes));
+    }
+    const size_t n = std::min(left, kBlockBytes - offset);
+    memcpy(blocks_[size_ / kBlockBytes].get() + offset, p, n);
+    p += n;
+    left -= n;
+    size_ += n;
+  }
   return Status::OK();
 }
 
 Status InMemoryLogStorage::ReadAll(std::string* out) {
   MutexLock lock(mu_);
-  *out = buffer_;
+  out->resize(size_);
+  for (size_t done = 0; done < size_; done += kBlockBytes) {
+    memcpy(out->data() + done, blocks_[done / kBlockBytes].get(),
+           std::min(kBlockBytes, size_ - done));
+  }
   return Status::OK();
 }
 
 Status InMemoryLogStorage::Truncate() {
   MutexLock lock(mu_);
-  buffer_.clear();
+  blocks_.clear();
+  size_ = 0;
   return Status::OK();
 }
 
 void InMemoryLogStorage::CorruptTail(size_t n) {
   MutexLock lock(mu_);
-  if (n < buffer_.size()) buffer_.resize(n);
+  if (n >= size_) return;
+  size_ = n;
+  blocks_.resize((n + kBlockBytes - 1) / kBlockBytes);
 }
 
 Result<std::unique_ptr<FileLogStorage>> FileLogStorage::Open(

@@ -145,8 +145,15 @@ class LogStorage {
 
 /// In-memory log storage; survives "crashes" simulated by discarding the
 /// buffer pool, which is exactly what the recovery tests exercise.
+///
+/// The log fills fixed-size blocks. Growing it never copies what is already
+/// there, so an append never stalls on the log's length and the log is
+/// never held twice, as it would be while one doubling buffer grew into the
+/// next.
 class InMemoryLogStorage : public LogStorage {
  public:
+  static constexpr size_t kBlockBytes = size_t{1} << 20;
+
   Status Append(const Slice& data) override;
   Status Sync() override { return Status::OK(); }
   Status ReadAll(std::string* out) override;
@@ -157,7 +164,8 @@ class InMemoryLogStorage : public LogStorage {
 
  private:
   Mutex mu_{"log.mem", lockorder::kRankDisk};
-  std::string buffer_ TENDAX_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<char[]>> blocks_ TENDAX_GUARDED_BY(mu_);
+  size_t size_ TENDAX_GUARDED_BY(mu_) = 0;
 };
 
 /// Append-only file log storage.

@@ -53,6 +53,9 @@ struct ChangeEvent {
   CharId anchor;            // first affected character (if any)
   uint64_t count = 0;       // number of affected characters/items
   std::string detail;       // operation-specific payload (e.g. text)
+  /// Sequence number of the audit row the commit wrote for this event
+  /// (0 = not audited). Set by the audit pre-commit hook; not on the wire.
+  uint64_t audit_seq = 0;
 };
 
 using ChangeBatch = std::vector<ChangeEvent>;

@@ -75,7 +75,8 @@ class Transaction {
   const std::vector<WriteEntry>& write_set() const { return write_set_; }
   void AddWrite(WriteEntry entry) { write_set_.push_back(std::move(entry)); }
 
-  const ChangeBatch& events() const { return events_; }
+  /// The change events so far; pre-commit hooks may annotate them.
+  ChangeBatch* mutable_events() { return &events_; }
   void AddEvent(ChangeEvent event) { events_.push_back(std::move(event)); }
 
   /// Registers compensation for a non-logged side effect (e.g. an in-memory

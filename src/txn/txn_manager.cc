@@ -4,6 +4,14 @@
 
 namespace tendax {
 
+namespace {
+
+// The manager whose commit listeners this thread is running, or null:
+// LogUpdate refuses to write on its behalf.
+thread_local const TxnManager* tls_listening = nullptr;
+
+}  // namespace
+
 TxnManager::TxnManager(Wal* wal, LockManager* locks, Clock* clock,
                        bool sync_commit, MetricsRegistry* metrics)
     : wal_(wal), locks_(locks), clock_(clock), sync_commit_(sync_commit) {
@@ -42,10 +50,28 @@ Transaction* TxnManager::Begin(UserId user, TxnMode mode) {
 
 Status TxnManager::Commit(Transaction* txn) {
   TENDAX_CHECK(txn->state() == TxnState::kActive);
-  // First statement after the precondition so every exit — append failure,
-  // early-release flush failure, group-flush failure, and success — records
-  // commit latency via RAII.
+  // First statement after the precondition so every exit — hook failure,
+  // append failure, early-release flush failure, group-flush failure, and
+  // success — records commit latency via RAII.
   ScopedTimer commit_timer(m_commit_micros_);
+  SharedList<PreCommitHook> hooks;
+  SharedList<CommitListener> listeners;
+  {
+    MutexLock lock(mu_);
+    if (!txn->events_.empty()) hooks = hooks_;
+    listeners = listeners_;
+  }
+  if (hooks != nullptr) {
+    for (const auto& hook : *hooks) {
+      Status st = hook(txn);
+      if (!st.ok()) {
+        // As for a failed append below: the hook's failure is what the
+        // caller must see, not the rollback's.
+        (void)Abort(txn);
+        return st;
+      }
+    }
+  }
   if (wal_ != nullptr && !txn->read_only()) {
     LogRecord rec;
     rec.type = LogType::kCommit;
@@ -95,21 +121,21 @@ Status TxnManager::Commit(Transaction* txn) {
       }
     }
   }
-  // Copy what listeners need before the transaction object is destroyed.
+  // Take what listeners need before the transaction object is destroyed.
   TxnId id = txn->id();
   UserId user = txn->user();
-  ChangeBatch events = txn->events();
+  ChangeBatch events = std::move(txn->events_);
 
   Finalize(txn, TxnState::kCommitted);
 
   m_committed_->Add();
-  std::vector<CommitListener> listeners;
-  {
-    MutexLock lock(mu_);
-    listeners = listeners_;
-  }
-  for (const auto& listener : listeners) {
-    listener(id, user, events);
+  if (listeners != nullptr) {
+    const TxnManager* outer = tls_listening;
+    tls_listening = this;
+    for (const auto& listener : *listeners) {
+      listener(id, user, events);
+    }
+    tls_listening = outer;
   }
   return Status::OK();
 }
@@ -226,7 +252,12 @@ Status TxnManager::RunSnapshotRead(
 
 void TxnManager::AddCommitListener(CommitListener listener) {
   MutexLock lock(mu_);
-  listeners_.push_back(std::move(listener));
+  listeners_ = Appended(listeners_, std::move(listener));
+}
+
+void TxnManager::AddPreCommitHook(PreCommitHook hook) {
+  MutexLock lock(mu_);
+  hooks_ = Appended(hooks_, std::move(hook));
 }
 
 Result<Lsn> TxnManager::LogUpdate(Transaction* txn, UpdateOp op,
@@ -235,6 +266,10 @@ Result<Lsn> TxnManager::LogUpdate(Transaction* txn, UpdateOp op,
   if (txn->is_snapshot_read()) {
     return Status::FailedPrecondition(
         "snapshot-read transaction cannot log updates");
+  }
+  if (tls_listening == this) {
+    return Status::FailedPrecondition(
+        "commit listeners must not write; write from a pre-commit hook");
   }
   Lsn lsn = kInvalidLsn;
   if (wal_ != nullptr) {

@@ -13,6 +13,7 @@
 #include "util/clock.h"
 #include "util/mutex.h"
 #include "util/result.h"
+#include "util/shared_list.h"
 
 namespace tendax {
 
@@ -29,9 +30,19 @@ class ChangeApplier {
 
 /// Invoked after a transaction durably commits, with its change events.
 /// Listeners drive real-time propagation to other editors, dynamic folders,
-/// the search index and awareness.
+/// the search index and awareness. They must not write: the transaction is
+/// over, so a write could only go to a second transaction that commits (or
+/// is lost in a crash) on its own. `LogUpdate` from inside a listener fails
+/// with FailedPrecondition.
 using CommitListener =
     std::function<void(TxnId, UserId, const ChangeBatch&)>;
+
+/// Invoked inside `Commit` for a transaction that carries change events,
+/// before its commit record is appended and while it still holds its locks.
+/// A hook may write through `txn` (those records commit or abort with it)
+/// and may annotate `txn->mutable_events()`. A failed hook aborts the
+/// transaction, and its status is what `Commit` returns.
+using PreCommitHook = std::function<Status(Transaction*)>;
 
 /// Transaction counters, read from the `txn.*` registry metrics.
 struct TxnManagerStats {
@@ -58,10 +69,11 @@ class TxnManager {
   /// `LogUpdate`.
   Transaction* Begin(UserId user, TxnMode mode = TxnMode::kReadWrite);
 
-  /// Commits: appends the commit record, waits for its (possibly group)
+  /// Commits: runs the pre-commit hooks (if the transaction carries change
+  /// events), appends the commit record, waits for its (possibly group)
   /// flush, releases locks, then publishes the transaction's change events
-  /// to commit listeners. On a failed append or flush the transaction is
-  /// rolled back before returning — callers must not touch `txn` after a
+  /// to commit listeners. On a failed hook, append or flush the transaction
+  /// is rolled back before returning — callers must not touch `txn` after a
   /// Commit call regardless of the outcome.
   Status Commit(Transaction* txn);
 
@@ -82,9 +94,12 @@ class TxnManager {
 
   void SetChangeApplier(ChangeApplier* applier) { applier_ = applier; }
   void AddCommitListener(CommitListener listener);
+  void AddPreCommitHook(PreCommitHook hook);
 
   /// Appends an update record for `txn` and returns its LSN; maintains the
-  /// per-transaction chain and write set. Called by the db layer.
+  /// per-transaction chain and write set. Called by the db layer. Fails
+  /// with FailedPrecondition on a snapshot-read transaction and from inside
+  /// a commit listener of this manager.
   Result<Lsn> LogUpdate(Transaction* txn, UpdateOp op, uint64_t table_id,
                         uint64_t rid, std::string before, std::string after);
 
@@ -112,12 +127,14 @@ class TxnManager {
   ChangeApplier* applier_ = nullptr;
 
   std::atomic<uint64_t> next_txn_id_{1};
-  // Registry bookkeeping only: never held across wal_ / locks_ / listener
-  // calls (listeners run on a copy taken under the lock).
+  // Registry bookkeeping only: never held across wal_ / locks_ / hook or
+  // listener calls. Hooks and listeners are immutable snapshots, replaced
+  // whole when one is added, so a commit takes a reference, not a copy.
   mutable Mutex mu_{"txnmgr.mu", lockorder::kRankTxn};
   std::unordered_map<uint64_t, std::unique_ptr<Transaction>> active_
       TENDAX_GUARDED_BY(mu_);
-  std::vector<CommitListener> listeners_ TENDAX_GUARDED_BY(mu_);
+  SharedList<PreCommitHook> hooks_ TENDAX_GUARDED_BY(mu_);
+  SharedList<CommitListener> listeners_ TENDAX_GUARDED_BY(mu_);
 
   // The only store of the manager's counters (never null).
   std::unique_ptr<MetricsRegistry> owned_metrics_;

@@ -44,6 +44,7 @@ constexpr const char* kDocName = "torture.txt";
 struct RunOutcome {
   bool setup_ok = false;        // user + document creation succeeded
   std::string committed;        // text after the last successful edit
+  size_t edits = 0;             // edits that returned OK
   bool has_ambiguous = false;   // an edit failed mid-flight
   std::string with_ambiguous;   // `committed` with the failed edit applied
 };
@@ -114,12 +115,46 @@ RunOutcome RunWorkload(const std::shared_ptr<DiskManager>& disk,
       break;
     }
     shadow = next;
+    ++out.edits;
     if ((i + 1) % kCheckpointEvery == 0) {
       (void)(*server)->Checkpoint();  // may fail under injection
     }
   }
   out.committed = shadow;
   return out;  // ~TendaxServer: shutdown flushes fail silently post-crash
+}
+
+uint64_t CountAuditRows(TendaxServer* server, DocumentId doc,
+                        AuditKind kind) {
+  uint64_t rows = 0;
+  EXPECT_TRUE(server->meta()
+                  ->VisitAudit([&](const AuditEntry& e) {
+                    if (e.doc == doc && e.kind == kind) ++rows;
+                    return true;
+                  })
+                  .ok());
+  return rows;
+}
+
+// The audit trail is written by the edit's own transaction, so after any
+// crash the recovered document carries exactly one `create` row and one
+// `edit` row per committed edit. Every edit bumps the document version by
+// one, so the recovered version counts the committed edits; it must also be
+// the number of edits that returned OK, plus the in-flight one if that one
+// made it.
+void ExpectOneAuditRowPerEdit(TendaxServer* server, DocumentId doc,
+                              const RunOutcome& run,
+                              const std::string& context) {
+  auto version = server->text()->CurrentVersion(doc);
+  ASSERT_TRUE(version.ok()) << context << ": " << version.status().ToString();
+  EXPECT_TRUE(*version == run.edits ||
+              (run.has_ambiguous && *version == run.edits + 1))
+      << context << ": recovered version " << *version << " after "
+      << run.edits << " acknowledged edits";
+  EXPECT_EQ(CountAuditRows(server, doc, AuditKind::kCreate), 1u)
+      << context << ": create audit rows";
+  EXPECT_EQ(CountAuditRows(server, doc, AuditKind::kEdit), *version)
+      << context << ": edit audit rows vs committed edits";
 }
 
 // Reopens the database over the raw (surviving) storage and checks the
@@ -161,6 +196,7 @@ void VerifyRecovered(const std::shared_ptr<DiskManager>& disk,
                                ? "\nwith in-flight edit: \"" +
                                      run.with_ambiguous + "\""
                                : "");
+  ExpectOneAuditRowPerEdit(server->get(), *doc, run, context);
 }
 
 // Like VerifyRecovered, but for faults that may corrupt a page image (torn
@@ -197,6 +233,7 @@ void VerifyRecoveredOrDetected(const std::shared_ptr<DiskManager>& disk,
                  (run.has_ambiguous && *text == run.with_ambiguous);
   EXPECT_TRUE(matches) << context << "\nrecovered: \"" << *text
                        << "\"\ncommitted: \"" << run.committed << "\"";
+  ExpectOneAuditRowPerEdit(server->get(), *doc, run, context);
 }
 
 // Profiles the fault-free workload: how many I/O ops, appends, page writes
@@ -336,6 +373,49 @@ TEST(CrashTortureTest, CrashPointSweepRecoversEverywhereLeaderGroupCommit) {
 
 TEST(CrashTortureTest, CrashPointSweepRecoversEverywhereFlusherGroupCommit) {
   SweepWithMode(CommitFlushMode::kFlusherThread, "group-commit/flusher");
+}
+
+// Crash at every single I/O of a shorter workload, not a stride of them: an
+// edit and its audit row commit or vanish together, so the recovered audit
+// trail holds one edit row per committed edit at each point (checked by
+// VerifyRecovered). A crash between the edit's commit and a separate audit
+// commit would leave an edit with no row; only an unstrided sweep is sure to
+// land there.
+//   TENDAX_TORTURE_AUDIT_OPS  edits per run of this sweep (default 30)
+void SweepEveryIo(CommitFlushMode mode, const char* mode_name) {
+  const uint64_t seed = EnvU64("TENDAX_TORTURE_SEED", 7);
+  const size_t num_ops =
+      static_cast<size_t>(EnvU64("TENDAX_TORTURE_AUDIT_OPS", 30));
+
+  Profile profile = ProfileWorkload(seed, num_ops, mode);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  ASSERT_GT(profile.syncs, num_ops) << "every edit commit syncs the log";
+  for (uint64_t k = 1; k <= profile.total_ops; ++k) {
+    auto disk = std::make_shared<InMemoryDiskManager>();
+    auto log = std::make_shared<InMemoryLogStorage>();
+    auto plan = std::make_shared<FaultPlan>(seed);
+    plan->CrashAtOp(k);
+    RunOutcome run = RunWorkload(disk, log, plan, seed, num_ops, mode);
+    std::string context = std::string(mode_name) + " crash@" +
+                          std::to_string(k) + "/" +
+                          std::to_string(profile.total_ops) + " " +
+                          plan->Describe() +
+                          " workload_seed=" + std::to_string(seed);
+    VerifyRecovered(disk, log, run, context);
+    if (::testing::Test::HasFailure()) return;  // first failing point only
+  }
+}
+
+TEST(CrashTortureTest, CrashAtEveryIoKeepsOneAuditRowPerEditInline) {
+  SweepEveryIo(CommitFlushMode::kInline, "inline");
+}
+
+TEST(CrashTortureTest, CrashAtEveryIoKeepsOneAuditRowPerEditLeader) {
+  SweepEveryIo(CommitFlushMode::kLeader, "group-commit/leader");
+}
+
+TEST(CrashTortureTest, CrashAtEveryIoKeepsOneAuditRowPerEditFlusher) {
+  SweepEveryIo(CommitFlushMode::kFlusherThread, "group-commit/flusher");
 }
 
 // Randomized torture: seeded random fault flavors (hard crash, torn log
@@ -528,9 +608,8 @@ TEST(CrashTortureTest, TransientCommitFlushFailureKeepsEngineUsable) {
   size_t failures = 0;
   for (size_t i = 0; i < 40; ++i) {
     if (i == 10) {
-      // Fail the very next sync: each edit transaction's commit flush is
-      // the first sync it issues (listener transactions sync later), so
-      // this deterministically kills edit #10's commit.
+      // Fail the very next sync: an edit's commit flush is the only sync
+      // it issues, so this deterministically kills edit #10's commit.
       plan->FailNthSync(plan->syncs_seen() + 1);
     }
     TypingAction a = gen.Next(shadow.size());
@@ -558,6 +637,10 @@ TEST(CrashTortureTest, TransientCommitFlushFailureKeepsEngineUsable) {
   auto text = (*server)->text()->Text(*doc);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_EQ(*text, shadow) << plan->Describe();
+  // The failed edit's audit row went with it.
+  EXPECT_EQ(CountAuditRows(server->get(), *doc, AuditKind::kEdit),
+            40u - failures)
+      << plan->Describe();
   Status integrity = (*server)->CheckIntegrity();
   EXPECT_TRUE(integrity.ok()) << integrity.ToString();
 }

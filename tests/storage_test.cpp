@@ -52,11 +52,16 @@ TEST(ChecksumTest, EveryBitFlipChangesItAtEveryTailLength) {
   }
 }
 
-// A page's stored checksum rejects every single-bit flip of its payload
-// and of the stored checksum itself.
+// A page's stored checksum rejects every single-bit flip of its LSN, its
+// reserved header bytes, its payload and the stored checksum itself, and a
+// damaged page whose checksum field was zeroed. Only an all-zero page (never
+// written) passes without a checksum.
 TEST(ChecksumTest, PageChecksumDetectsEveryBitFlip) {
   Random rng(4096);
   Page page;
+  EXPECT_TRUE(page.ChecksumValid()) << "a fresh all-zero page";
+  page.set_lsn(1000);
+  EXPECT_FALSE(page.ChecksumValid()) << "a written page with no checksum";
   for (size_t i = 0; i < Page::payload_size(); ++i) {
     page.payload()[i] = static_cast<char>(rng.Uniform(256));
   }
@@ -72,9 +77,16 @@ TEST(ChecksumTest, PageChecksumDetectsEveryBitFlip) {
       }
     }
   };
+  sweep(page.data(), 8, "page lsn");
+  sweep(page.data() + kPageChecksumOffset + 4, 4, "reserved");
   sweep(page.payload(), Page::payload_size(), "payload");
   sweep(page.data() + kPageChecksumOffset, 4, "stored checksum");
   EXPECT_TRUE(page.ChecksumValid());
+
+  // Damage the payload, then zero the checksum field as well.
+  page.payload()[100] = static_cast<char>(page.payload()[100] ^ 0x10);
+  EncodeFixed32(page.data() + kPageChecksumOffset, 0);
+  EXPECT_FALSE(page.ChecksumValid()) << "zeroed checksum on a damaged page";
 }
 
 // A framed WAL record (length, checksum, payload) with a payload whose
@@ -386,6 +398,44 @@ TEST(WalTest, ToleratesTornTail) {
   ASSERT_TRUE(reopened.ReadAll(&out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].rid, 1u);
+}
+
+// The in-memory log spans blocks: appends that straddle a block boundary,
+// a torn tail cut inside the previous block or exactly on a boundary, and
+// appends after the cut all read back as one contiguous log.
+TEST(WalTest, InMemoryLogCorruptTailAcrossBlockBoundary) {
+  constexpr size_t kBlock = InMemoryLogStorage::kBlockBytes;
+  InMemoryLogStorage storage;
+  std::string expected;
+  for (size_t i = 0; expected.size() < kBlock + 300; ++i) {
+    std::string chunk(1000 + i % 7, static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(storage.Append(chunk).ok());
+    expected += chunk;
+  }
+  std::string out;
+  ASSERT_TRUE(storage.ReadAll(&out).ok());
+  ASSERT_EQ(out, expected);
+
+  for (size_t cut : {kBlock - 10, kBlock}) {
+    storage.CorruptTail(cut);
+    expected.resize(cut);
+    ASSERT_TRUE(storage.ReadAll(&out).ok());
+    EXPECT_EQ(out, expected) << "cut at " << cut;
+    ASSERT_TRUE(storage.Append(std::string(40, 'z')).ok());
+    expected += std::string(40, 'z');
+    ASSERT_TRUE(storage.ReadAll(&out).ok());
+    EXPECT_EQ(out, expected) << "append after cut at " << cut;
+  }
+
+  storage.CorruptTail(expected.size() + 1);  // past the end: no-op
+  ASSERT_TRUE(storage.ReadAll(&out).ok());
+  EXPECT_EQ(out, expected);
+  ASSERT_TRUE(storage.Truncate().ok());
+  ASSERT_TRUE(storage.ReadAll(&out).ok());
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(storage.Append("after truncate").ok());
+  ASSERT_TRUE(storage.ReadAll(&out).ok());
+  EXPECT_EQ(out, "after truncate");
 }
 
 TEST(WalTest, ResetClearsButKeepsNumbering) {
